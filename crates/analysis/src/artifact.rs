@@ -26,14 +26,14 @@
 //! }
 //! ```
 //!
-//! Serialization is hand-rolled (this workspace takes no external
-//! dependencies); the parser below is a minimal recursive-descent JSON
-//! reader sufficient for this schema.
+//! The pretty layout is written here; reading goes through
+//! [`embsan_obs::json`].
 
 use std::collections::BTreeMap;
 
 use embsan_asm::image::FirmwareImage;
 use embsan_emu::profile::Arch;
+use embsan_obs::json::{self, Value};
 
 use crate::cfg::Cfg;
 use crate::compare::{self, CmpOperand};
@@ -163,28 +163,27 @@ impl AnalysisArtifact {
 
     /// Parses the JSON document, validating the version tag and schema.
     pub fn parse(text: &str) -> Result<AnalysisArtifact, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_object().ok_or("artifact root must be an object")?;
-        let version = get(obj, "version")?.as_str().ok_or("version must be a string")?;
+        let doc = json::parse(text)?;
+        let version = get(&doc, "version")?.as_str().ok_or("version must be a string")?;
         if version != VERSION {
             return Err(format!("unsupported artifact version {version:?} (want {VERSION:?})"));
         }
-        let arch_text = get(obj, "arch")?.as_str().ok_or("arch must be a string")?;
+        let arch_text = get(&doc, "arch")?.as_str().ok_or("arch must be a string")?;
         let arch =
             arch_from_name(arch_text).ok_or_else(|| format!("unknown arch {arch_text:?}"))?;
-        let entry = get(obj, "entry")?.as_u32().ok_or("entry must be a u32")?;
-        let text_base = get(obj, "text_base")?.as_u32().ok_or("text_base must be a u32")?;
-        let text_len = get(obj, "text_len")?.as_u32().ok_or("text_len must be a u32")?;
-        let fn_entries = u32_array(get(obj, "fn_entries")?, "fn_entries")?;
-        let address_taken = u32_array(get(obj, "address_taken")?, "address_taken")?;
+        let entry = as_u32(get(&doc, "entry")?).ok_or("entry must be a u32")?;
+        let text_base = as_u32(get(&doc, "text_base")?).ok_or("text_base must be a u32")?;
+        let text_len = as_u32(get(&doc, "text_len")?).ok_or("text_len must be a u32")?;
+        let fn_entries = u32_array(get(&doc, "fn_entries")?, "fn_entries")?;
+        let address_taken = u32_array(get(&doc, "address_taken")?, "address_taken")?;
         let mut nodes = BTreeMap::new();
-        for item in get(obj, "blocks")?.as_array().ok_or("blocks must be an array")? {
+        for item in get(&doc, "blocks")?.as_array().ok_or("blocks must be an array")? {
             let fields = item.as_array().ok_or("each block must be an array")?;
             if fields.len() != 5 {
                 return Err("each block must be [start, end, call, indirect, [succs]]".to_string());
             }
-            let start = fields[0].as_u32().ok_or("block start must be a u32")?;
-            let end = fields[1].as_u32().ok_or("block end must be a u32")?;
+            let start = as_u32(&fields[0]).ok_or("block start must be a u32")?;
+            let end = as_u32(&fields[1]).ok_or("block end must be a u32")?;
             let call_target = match fields[2].as_i64().ok_or("block call must be an integer")? {
                 -1 => None,
                 c => Some(u32::try_from(c).map_err(|_| "block call out of range")?),
@@ -198,17 +197,17 @@ impl AnalysisArtifact {
             nodes.insert(start, FlowNode { start, end, succs, call_target, indirect_call });
         }
         let mut cmp_operands = Vec::new();
-        for item in get(obj, "cmp_operands")?.as_array().ok_or("cmp_operands must be an array")? {
+        for item in get(&doc, "cmp_operands")?.as_array().ok_or("cmp_operands must be an array")? {
             let pair = item.as_array().ok_or("each operand must be an array")?;
             if pair.len() != 2 {
                 return Err("each operand must be [value, block]".to_string());
             }
             cmp_operands.push(CmpOperand {
-                value: pair[0].as_u32().ok_or("operand value must be a u32")?,
-                block: pair[1].as_u32().ok_or("operand block must be a u32")?,
+                value: as_u32(&pair[0]).ok_or("operand value must be a u32")?,
+                block: as_u32(&pair[1]).ok_or("operand block must be a u32")?,
             });
         }
-        let default_targets = u32_array(get(obj, "default_targets")?, "default_targets")?;
+        let default_targets = u32_array(get(&doc, "default_targets")?, "default_targets")?;
         Ok(AnalysisArtifact {
             arch,
             entry,
@@ -221,190 +220,21 @@ impl AnalysisArtifact {
     }
 }
 
-fn get<'v>(obj: &'v [(String, json::Value)], key: &str) -> Result<&'v json::Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("artifact is missing {key:?}"))
+fn get<'v>(obj: &'v Value, key: &str) -> Result<&'v Value, String> {
+    obj.get(key).ok_or_else(|| format!("artifact is missing {key:?}"))
 }
 
-fn u32_array(value: &json::Value, what: &str) -> Result<Vec<u32>, String> {
+fn as_u32(value: &Value) -> Option<u32> {
+    value.as_u64().and_then(|n| u32::try_from(n).ok())
+}
+
+fn u32_array(value: &Value, what: &str) -> Result<Vec<u32>, String> {
     value
         .as_array()
         .ok_or_else(|| format!("{what} must be an array"))?
         .iter()
-        .map(|v| v.as_u32().ok_or_else(|| format!("{what} entries must be u32")))
+        .map(|v| as_u32(v).ok_or_else(|| format!("{what} entries must be u32")))
         .collect()
-}
-
-/// A minimal recursive-descent JSON reader — just enough for the artifact
-/// schema (objects, arrays, strings without escapes beyond `\"`/`\\`,
-/// integers).
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// An integer (the schema has no floats).
-        Num(i64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in document order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_i64(&self) -> Option<i64> {
-            match *self {
-                Value::Num(n) => Some(n),
-                _ => None,
-            }
-        }
-
-        pub fn as_u32(&self) -> Option<u32> {
-            self.as_i64().and_then(|n| u32::try_from(n).ok())
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(fields) => Some(fields),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&byte) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", byte as char, *pos))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-            Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-            other => Err(format!("unexpected {other:?} at byte {pos}", pos = *pos)),
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        while let Some(&byte) = bytes.get(*pos) {
-            *pos += 1;
-            match byte {
-                b'"' => return Ok(out),
-                b'\\' => match bytes.get(*pos) {
-                    Some(&next @ (b'"' | b'\\' | b'/')) => {
-                        out.push(next as char);
-                        *pos += 1;
-                    }
-                    _ => return Err(format!("unsupported escape at byte {}", *pos)),
-                },
-                _ => out.push(byte as char),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if bytes.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).unwrap();
-        text.parse::<i64>().map(Value::Num).map_err(|e| format!("bad number {text:?}: {e}"))
-    }
 }
 
 #[cfg(test)]

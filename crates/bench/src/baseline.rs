@@ -9,6 +9,8 @@
 //! measures host scheduling, not the engine (see
 //! [`ThroughputReport::warnings`]).
 
+use embsan_obs::json::{self, Value};
+
 use crate::throughput::ThroughputReport;
 
 /// One comparable worker-scaling point lifted from a baseline document.
@@ -37,63 +39,53 @@ pub struct BaselinePoint {
 /// Returns a description of the first malformed construct. Unknown fields
 /// are ignored so older guards keep working as the schema grows.
 pub fn parse_baseline(text: &str) -> Result<Vec<BaselinePoint>, String> {
-    let doc = json::parse(text)?;
-    let root = doc.as_object().ok_or("baseline root must be an object")?;
-    if json::field(root, "schema").and_then(json::Value::as_str)
-        != Some("embsan-bench-throughput-v1")
-    {
+    let root = json::parse(text)?;
+    if root.get("schema").and_then(Value::as_str) != Some("embsan-bench-throughput-v1") {
         return Err("baseline is not an embsan-bench-throughput-v1 document".into());
     }
+    let as_usize = |value: &Value| value.as_u64().and_then(|n| usize::try_from(n).ok());
 
     let mut flagged = Vec::new();
-    if let Some(warnings) = json::field(root, "warnings").and_then(json::Value::as_array) {
+    if let Some(warnings) = root.get("warnings").and_then(Value::as_array) {
         for w in warnings {
-            let w = w.as_object().ok_or("warning entries must be objects")?;
-            if json::field(w, "kind").and_then(json::Value::as_str)
-                == Some("oversubscribed_workers")
-            {
-                let firmware = json::field(w, "firmware")
-                    .and_then(json::Value::as_str)
-                    .ok_or("warning missing firmware")?;
-                let workers = json::field(w, "workers")
-                    .and_then(json::Value::as_usize)
-                    .ok_or("warning missing workers")?;
+            if w.get("kind").and_then(Value::as_str) == Some("oversubscribed_workers") {
+                let firmware =
+                    w.get("firmware").and_then(Value::as_str).ok_or("warning missing firmware")?;
+                let workers =
+                    w.get("workers").and_then(as_usize).ok_or("warning missing workers")?;
                 flagged.push((firmware.to_string(), workers));
             }
         }
     }
 
     let mut points = Vec::new();
-    let firmwares = json::field(root, "firmwares")
-        .and_then(json::Value::as_array)
+    let firmwares = root
+        .get("firmwares")
+        .and_then(Value::as_array)
         .ok_or("baseline missing firmwares array")?;
     for fw in firmwares {
-        let fw = fw.as_object().ok_or("firmware entries must be objects")?;
-        let name = json::field(fw, "firmware")
-            .and_then(json::Value::as_str)
-            .ok_or("firmware entry missing name")?;
-        let workers = json::field(fw, "workers")
-            .and_then(json::Value::as_array)
+        let name =
+            fw.get("firmware").and_then(Value::as_str).ok_or("firmware entry missing name")?;
+        let workers = fw
+            .get("workers")
+            .and_then(Value::as_array)
             .ok_or("firmware entry missing workers array")?;
         for p in workers {
-            let p = p.as_object().ok_or("worker points must be objects")?;
-            let count = json::field(p, "workers")
-                .and_then(json::Value::as_usize)
-                .ok_or("worker point missing workers")?;
-            let execs_per_sec = json::field(p, "execs_per_sec")
-                .and_then(json::Value::as_f64)
+            let count =
+                p.get("workers").and_then(as_usize).ok_or("worker point missing workers")?;
+            let execs_per_sec = p
+                .get("execs_per_sec")
+                .and_then(Value::as_f64)
                 .ok_or("worker point missing execs_per_sec")?;
             // Memory fields are additive (schema stays -v1): absent in
             // older baselines, so they parse as None rather than erroring.
-            let as_u64 =
-                |key| json::field(p, key).and_then(json::Value::as_usize).map(|value| value as u64);
             points.push(BaselinePoint {
                 firmware: name.to_string(),
                 workers: count,
                 execs_per_sec,
                 oversubscribed: flagged.iter().any(|(f, w)| f == name && *w == count),
-                base_bytes: as_u64("base_bytes"),
-                peak_overlay_bytes: as_u64("peak_overlay_bytes"),
+                base_bytes: p.get("base_bytes").and_then(Value::as_u64),
+                peak_overlay_bytes: p.get("peak_overlay_bytes").and_then(Value::as_u64),
             });
         }
     }
@@ -187,232 +179,6 @@ pub fn memory_regressions(baseline: &[BaselinePoint], fresh: &ThroughputReport) 
         }
     }
     out
-}
-
-/// A minimal recursive-descent JSON reader for baseline documents: objects,
-/// arrays, strings with `\"`/`\\`/`\uXXXX` escapes, floats, booleans and
-/// null — just enough for the `embsan-bench-throughput-v1` schema.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// A number (all JSON numbers read as f64).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// A boolean.
-        Bool(bool),
-        /// `null`.
-        Null,
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in document order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match *self {
-                Value::Num(n) => Some(n),
-                _ => None,
-            }
-        }
-
-        pub fn as_usize(&self) -> Option<usize> {
-            match *self {
-                Value::Num(n) if n >= 0.0 && n.fract() == 0.0 => Some(n as usize),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(fields) => Some(fields),
-                _ => None,
-            }
-        }
-    }
-
-    /// First value of `key` in an object's field list.
-    pub fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-        if bytes.get(*pos) == Some(&b) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, pos))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-            Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-            _ => Err(format!("unexpected byte at {pos}")),
-        }
-    }
-
-    fn parse_keyword(
-        bytes: &[u8],
-        pos: &mut usize,
-        word: &str,
-        value: Value,
-    ) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad keyword at byte {pos}"))
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if bytes.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while *pos < bytes.len()
-            && (bytes[*pos].is_ascii_digit()
-                || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = Vec::new();
-        loop {
-            match bytes.get(*pos) {
-                Some(b'"') => {
-                    *pos += 1;
-                    return String::from_utf8(out).map_err(|_| "bad utf8 in string".to_string());
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push(b'"'),
-                        Some(b'\\') => out.push(b'\\'),
-                        Some(b'n') => out.push(b'\n'),
-                        Some(b't') => out.push(b'\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| format!("bad codepoint at byte {pos}"))?;
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {pos}")),
-                    }
-                    *pos += 1;
-                }
-                Some(&b) => {
-                    out.push(b);
-                    *pos += 1;
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

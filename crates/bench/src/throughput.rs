@@ -12,7 +12,7 @@
 //!    configurations retranslates only on the first pass; every later
 //!    toggle reuses a retained generation (~0 retranslations).
 //!
-//! The report serializes to the hand-rolled `embsan-bench-throughput-v1`
+//! The report serializes to the `embsan-bench-throughput-v1`
 //! JSON schema consumed by CI's bench-smoke job and checked in as
 //! `BENCH_throughput.json`.
 
@@ -23,6 +23,7 @@ use embsan_fuzz::campaign::prepare_session;
 use embsan_fuzz::{run_parallel_campaign, CampaignConfig, CampaignError, ParallelConfig};
 use embsan_guestos::workload::merged_corpus;
 use embsan_guestos::FirmwareSpec;
+use embsan_obs::json::escape;
 
 /// One worker-count measurement.
 #[derive(Debug, Clone, Copy)]
@@ -252,17 +253,6 @@ pub fn measure_firmware_throughput(
     })
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn json_f64(value: f64) -> String {
     if value.is_finite() {
         format!("{value:.4}")
@@ -310,8 +300,8 @@ impl ThroughputReport {
                 "\n    {{\"kind\": \"{}\", \"firmware\": \"{}\", \"workers\": {}, \
                  \"host_cores\": {}, \"note\": \"throughput at this point measures host \
                  oversubscription, not engine regression\"}}{}",
-                w.kind,
-                json_escape(&w.firmware),
+                escape(w.kind),
+                escape(&w.firmware),
                 w.workers,
                 w.host_cores,
                 if i + 1 < warnings.len() { "," } else { "\n  " },
@@ -321,8 +311,8 @@ impl ThroughputReport {
         out.push_str("  \"firmwares\": [\n");
         for (i, fw) in self.firmwares.iter().enumerate() {
             out.push_str("    {\n");
-            out.push_str(&format!("      \"firmware\": \"{}\",\n", json_escape(&fw.firmware)));
-            out.push_str(&format!("      \"san\": \"{}\",\n", json_escape(&fw.san)));
+            out.push_str(&format!("      \"firmware\": \"{}\",\n", escape(&fw.firmware)));
+            out.push_str(&format!("      \"san\": \"{}\",\n", escape(&fw.san)));
             out.push_str("      \"workers\": [\n");
             for (j, p) in fw.points.iter().enumerate() {
                 out.push_str(&format!(

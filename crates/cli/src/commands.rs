@@ -1236,7 +1236,7 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
 
 #[cfg(unix)]
 fn cmd_submit(parsed: &Parsed) -> Result<(), String> {
-    use embsan_serve::protocol::escape_json;
+    use embsan_obs::json::Value;
     let socket = parsed.option("socket").ok_or("expected --socket <path>")?;
     let firmware = parsed.option("firmware").ok_or("expected --firmware <name>")?;
     let iterations = parsed.option_u64("iters", 400)?;
@@ -1245,19 +1245,19 @@ fn cmd_submit(parsed: &Parsed) -> Result<(), String> {
     if priority > u64::from(u8::MAX) {
         return Err("--priority must be 0-255".to_string());
     }
-    let drill = match parsed.option("drill") {
-        Some(text) => {
-            // Validate locally so a typo is reported before the daemon sees it.
-            embsan_serve::Drill::parse(text)?;
-            format!(",\"drill\":\"{text}\"")
-        }
-        None => String::new(),
-    };
-    let line = format!(
-        "{{\"cmd\":\"submit\",\"firmware\":\"{}\",\"iterations\":{iterations},\
-         \"seed\":{seed},\"priority\":{priority}{drill}}}",
-        escape_json(firmware)
-    );
+    let mut request = vec![
+        ("cmd", Value::from("submit")),
+        ("firmware", Value::from(firmware)),
+        ("iterations", Value::from(iterations)),
+        ("seed", Value::from(seed)),
+        ("priority", Value::from(priority)),
+    ];
+    if let Some(text) = parsed.option("drill") {
+        // Validate locally so a typo is reported before the daemon sees it.
+        embsan_serve::Drill::parse(text)?;
+        request.push(("drill", Value::from(text)));
+    }
+    let line = Value::object(request).to_string();
     let response = embsan_serve::request(std::path::Path::new(socket), &line)?;
     println!("{response}");
     Ok(())
@@ -1265,13 +1265,14 @@ fn cmd_submit(parsed: &Parsed) -> Result<(), String> {
 
 #[cfg(unix)]
 fn cmd_jobs(parsed: &Parsed) -> Result<(), String> {
+    use embsan_obs::json::Value;
     let socket = parsed.option("socket").ok_or("expected --socket <path>")?;
     let action = parsed.positional.first().map_or("jobs", String::as_str);
     if !matches!(action, "jobs" | "findings" | "report" | "ping" | "shutdown") {
         return Err(format!("unknown action `{action}` (try `embsan help`)"));
     }
-    let response =
-        embsan_serve::request(std::path::Path::new(socket), &format!("{{\"cmd\":\"{action}\"}}"))?;
+    let line = Value::object([("cmd", Value::from(action))]).to_string();
+    let response = embsan_serve::request(std::path::Path::new(socket), &line)?;
     println!("{response}");
     Ok(())
 }

@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json::escape;
+
 /// Which probe family fired (mirrors [`ExecHook`] dispatch, where
 /// `ExecHook` is the emulator's hook trait).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,13 +230,13 @@ impl EventKind {
                 );
             }
             EventKind::Report { class, pc } => {
-                let _ = write!(out, ",\"class\":\"{class}\",\"pc\":\"{pc:#010x}\"");
+                let _ = write!(out, ",\"class\":\"{}\",\"pc\":\"{pc:#010x}\"", escape(class));
             }
             EventKind::WatchdogTrip { class } => {
-                let _ = write!(out, ",\"class\":\"{class}\"");
+                let _ = write!(out, ",\"class\":\"{}\"", escape(class));
             }
             EventKind::FaultInjected { fault } => {
-                let _ = write!(out, ",\"fault\":\"{fault}\"");
+                let _ = write!(out, ",\"fault\":\"{}\"", escape(fault));
             }
             EventKind::EpochMerge { epoch, execs, corpus, findings, coverage } => {
                 let _ = write!(
@@ -244,16 +246,17 @@ impl EventKind {
                 );
             }
             EventKind::DegradedMode { component, detail } => {
-                let _ = write!(out, ",\"component\":\"{component}\",\"detail\":\"{detail}\"");
+                let _ = write!(out, ",\"component\":\"{}\"", escape(component));
+                let _ = write!(out, ",\"detail\":\"{}\"", escape(detail));
             }
             EventKind::JobLifecycle { job, phase } => {
-                let _ = write!(out, ",\"job\":{job},\"phase\":\"{phase}\"");
+                let _ = write!(out, ",\"job\":{job},\"phase\":\"{}\"", escape(phase));
             }
             EventKind::RetryBackoff { op, attempt } => {
-                let _ = write!(out, ",\"op\":\"{op}\",\"attempt\":{attempt}");
+                let _ = write!(out, ",\"op\":\"{}\",\"attempt\":{attempt}", escape(op));
             }
             EventKind::IrqRaised { source, lines } | EventKind::IrqAcked { source, lines } => {
-                let _ = write!(out, ",\"source\":\"{source}\",\"lines\":{lines}");
+                let _ = write!(out, ",\"source\":\"{}\",\"lines\":{lines}", escape(source));
             }
             EventKind::DeferredCall { delay } => {
                 let _ = write!(out, ",\"delay\":{delay}");
@@ -334,6 +337,18 @@ mod tests {
             "{\"clock\":42,\"seq\":7,\"iter\":3,\"event\":\"probe-fire\",\
              \"probe\":\"mem\",\"pc\":\"0x10000004\"}"
         );
+    }
+
+    #[test]
+    fn degraded_mode_detail_is_escaped() {
+        let detail = "job 3 strike 1: \"x\" \\ failed\nagain".to_string();
+        let event = Event {
+            clock: 0,
+            seq: 0,
+            kind: EventKind::DegradedMode { component: "scheduler", detail: detail.clone() },
+        };
+        let value = crate::json::parse(&event.to_jsonl(None)).unwrap();
+        assert_eq!(value.get("detail").and_then(crate::json::Value::as_str), Some(detail.as_str()));
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!
 //! Exports: JSONL (`embsan-trace-v1`, one event per line) and Chrome
 //! `trace_event` JSON for flame views; metric snapshots as
-//! `embsan-metrics-v1` JSON with a deterministic/telemetry split.
+//! `embsan-metrics-v1` JSON with a deterministic/telemetry split. The
+//! [`json`] module is the workspace's one JSON value, parser and escaper.
 
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod trace;

@@ -18,6 +18,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::escape;
+
 /// Determinism class of a metric value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricClass {
@@ -217,8 +219,8 @@ impl MetricsSnapshot {
                 out,
                 "    {{\"subsystem\": \"{}\", \"name\": \"{}\", \"class\": \"{}\", \
                  \"kind\": \"{}\"",
-                entry.subsystem,
-                entry.name,
+                escape(&entry.subsystem),
+                escape(&entry.name),
                 entry.class.label(),
                 entry.value.kind(),
             );

@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::event::{Event, EventKind};
+use crate::json::escape;
 
 /// Which event kinds a [`Tracer`] records, and how many it retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,11 +270,7 @@ impl MergedTrace {
 pub fn jsonl_header(meta: &[(&str, &str)]) -> String {
     let mut out = String::from("{\"format\":\"embsan-trace-v1\"");
     for (key, value) in meta {
-        out.push_str(",\"");
-        out.push_str(key);
-        out.push_str("\":\"");
-        out.push_str(value);
-        out.push('"');
+        out.push_str(&format!(",\"{}\":\"{}\"", escape(key), escape(value)));
     }
     out.push_str("}\n");
     out
@@ -308,6 +305,7 @@ pub fn trace_to_chrome(events: &[Event]) -> String {
 mod tests {
     use super::*;
     use crate::event::ProbeKind;
+    use crate::json;
 
     #[test]
     fn disabled_tracer_records_nothing() {
@@ -377,5 +375,13 @@ mod tests {
         let mut lines = jsonl.lines();
         assert_eq!(lines.next().unwrap(), "{\"format\":\"embsan-trace-v1\",\"firmware\":\"demo\"}");
         assert!(lines.next().unwrap().contains("\"iter\":4"));
+    }
+
+    #[test]
+    fn header_meta_values_are_escaped() {
+        let path = "dir\"x\\y\nz.evfw";
+        let header = jsonl_header(&[("image", path)]);
+        let value = json::parse(header.trim_end()).unwrap();
+        assert_eq!(value.get("image").and_then(json::Value::as_str), Some(path));
     }
 }

@@ -16,10 +16,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use embsan_fuzz::{backoff_delay_ms, is_transient_io, RetryPolicy};
+use embsan_obs::json::Value;
 use embsan_obs::EventKind;
 
 use crate::engine::ServeEngine;
-use crate::protocol::{error_response, escape_json, ok_response, parse_request, Request};
+use crate::protocol::{error_response, ok_response, parse_request, Request};
 
 /// Front-end configuration.
 #[derive(Debug, Clone)]
@@ -152,36 +153,28 @@ fn serve_client(engine: &mut ServeEngine, stream: UnixStream) -> bool {
 
 fn handle_request(engine: &mut ServeEngine, request: Request) -> (String, bool) {
     match request {
-        Request::Ping => (ok_response(&["\"pong\":true".to_string()]), false),
+        Request::Ping => (ok_response([("pong", Value::Bool(true))]), false),
         Request::Submit { firmware, iterations, seed, priority, drill } => {
             let priority = priority.min(u64::from(u8::MAX)) as u8;
             match engine.submit(&firmware, iterations, seed, priority, drill) {
-                Ok(id) => (ok_response(&[format!("\"id\":{id}")]), false),
+                Ok(id) => (ok_response([("id", Value::from(id))]), false),
                 Err(message) => (error_response(&message), false),
             }
         }
         Request::Jobs => {
-            let mut jobs = String::from("\"jobs\":[");
-            for (index, (id, firmware, phase, turns)) in
-                engine.jobs_status().into_iter().enumerate()
-            {
-                if index > 0 {
-                    jobs.push(',');
-                }
-                jobs.push_str(&format!(
-                    "{{\"id\":{id},\"firmware\":\"{}\",\"phase\":\"{}\",\"turns\":{turns}}}",
-                    escape_json(&firmware),
-                    phase.name(),
-                ));
-            }
-            jobs.push(']');
-            (ok_response(&[jobs]), false)
+            let jobs = engine.jobs_status().into_iter().map(|(id, firmware, phase, turns)| {
+                Value::object([
+                    ("id", Value::from(id)),
+                    ("firmware", Value::Str(firmware)),
+                    ("phase", Value::from(phase.name())),
+                    ("turns", Value::from(turns)),
+                ])
+            });
+            (ok_response([("jobs", Value::Arr(jobs.collect()))]), false)
         }
-        Request::Findings => {
-            (ok_response(&[format!("\"store\":{}", engine.store().to_json())]), false)
-        }
-        Request::Report => (ok_response(&[format!("\"report\":{}", engine.report_json())]), false),
-        Request::Shutdown => (ok_response(&[]), true),
+        Request::Findings => (ok_response([("store", engine.store().to_value())]), false),
+        Request::Report => (ok_response([("report", engine.report())]), false),
+        Request::Shutdown => (ok_response([]), true),
     }
 }
 

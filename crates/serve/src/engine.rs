@@ -46,6 +46,7 @@ use embsan_fuzz::{
 };
 use embsan_guestos::firmware::Fuzzer as PaperFuzzer;
 use embsan_guestos::{firmware_by_name, FirmwareSpec};
+use embsan_obs::json::Value;
 use embsan_obs::{
     Event, EventKind, MergedTrace, MetricClass, MetricsRegistry, MetricsSnapshot, TraceConfig,
     TraceSpan, Tracer,
@@ -653,29 +654,30 @@ impl ServeEngine {
     /// journal-derived stats plus the deduplicated findings store. At
     /// idle (every job terminal) this is byte-identical across any
     /// kill/restart schedule.
+    pub fn report(&self) -> Value {
+        let jobs = self.jobs.iter().map(|(&id, job)| {
+            let report = self.job_report(id);
+            Value::object([
+                ("id", Value::from(id)),
+                ("firmware", Value::from(job.spec.firmware.as_str())),
+                ("phase", Value::from(job.phase.name())),
+                ("iterations", Value::from(report.iterations)),
+                ("execs", Value::from(report.execs)),
+                ("corpus", Value::from(report.corpus)),
+                ("coverage", Value::from(report.coverage)),
+                ("findings", Value::from(report.findings)),
+            ])
+        });
+        Value::object([
+            ("format", Value::from("embsan-serve-report-v1")),
+            ("jobs", Value::Arr(jobs.collect())),
+            ("store", self.store.to_value()),
+        ])
+    }
+
+    /// [`ServeEngine::report`] as compact JSON.
     pub fn report_json(&self) -> String {
-        let mut out = String::from("{\"format\":\"embsan-serve-report-v1\",\"jobs\":[");
-        for (index, (id, job)) in self.jobs.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let report = self.job_report(*id);
-            out.push_str(&format!(
-                "{{\"id\":{id},\"firmware\":\"{}\",\"phase\":\"{}\",\"iterations\":{},\
-                 \"execs\":{},\"corpus\":{},\"coverage\":{},\"findings\":{}}}",
-                crate::protocol::escape_json(&job.spec.firmware),
-                job.phase.name(),
-                report.iterations,
-                report.execs,
-                report.corpus,
-                report.coverage,
-                report.findings,
-            ));
-        }
-        out.push_str("],\"store\":");
-        out.push_str(&self.store.to_json());
-        out.push('}');
-        out
+        self.report().to_string()
     }
 
     /// A metrics snapshot: journal-derived per-job and store counters in

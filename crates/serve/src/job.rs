@@ -12,8 +12,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use embsan_fuzz::{retry_io, RetryPolicy};
-
-use crate::protocol::{escape_json, parse_json, Value};
+use embsan_obs::json::{self, Value};
 
 /// A deterministic resilience drill attached to a job. Drills let tests
 /// and soak runs exercise the daemon's failure paths on demand: the drill
@@ -123,19 +122,17 @@ impl JobSpec {
 
     /// One manifest line (no trailing newline).
     pub fn to_json(&self) -> String {
-        let drill = match &self.drill {
-            Some(drill) => format!(",\"drill\":\"{drill}\""),
-            None => String::new(),
-        };
-        format!(
-            "{{\"id\":{},\"firmware\":\"{}\",\"iterations\":{},\"seed\":{},\"priority\":{}{}}}",
-            self.id,
-            escape_json(&self.firmware),
-            self.iterations,
-            self.seed,
-            self.priority,
-            drill,
-        )
+        let mut fields = vec![
+            ("id", Value::from(self.id)),
+            ("firmware", Value::from(self.firmware.as_str())),
+            ("iterations", Value::from(self.iterations)),
+            ("seed", Value::from(self.seed)),
+            ("priority", Value::from(u64::from(self.priority))),
+        ];
+        if let Some(drill) = &self.drill {
+            fields.push(("drill", Value::Str(drill.to_string())));
+        }
+        Value::object(fields).to_string()
     }
 
     /// Parses one manifest line.
@@ -144,16 +141,15 @@ impl JobSpec {
     ///
     /// A message naming the missing or malformed field.
     pub fn from_json(line: &str) -> Result<JobSpec, String> {
-        let value = parse_json(line)?;
-        let obj = value.as_obj().ok_or("manifest line must be an object")?;
-        let field = |name: &str| obj.get(name).and_then(Value::as_u64);
-        let drill = match obj.get("drill") {
+        let spec = json::parse(line)?;
+        let field = |name: &str| spec.get(name).and_then(Value::as_u64);
+        let drill = match spec.get("drill") {
             None | Some(Value::Null) => None,
             Some(value) => Some(Drill::parse(value.as_str().ok_or("`drill` must be a string")?)?),
         };
         Ok(JobSpec {
             id: field("id").ok_or("missing `id`")?,
-            firmware: obj
+            firmware: spec
                 .get("firmware")
                 .and_then(Value::as_str)
                 .ok_or("missing `firmware`")?

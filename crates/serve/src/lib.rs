@@ -37,5 +37,5 @@ pub use engine::{JobReport, ServeConfig, ServeEngine};
 pub use job::{
     append_manifest, load_manifest, repair_manifest, Drill, JobPhase, JobSpec, MANIFEST,
 };
-pub use protocol::{parse_json, parse_request, Request, Value};
+pub use protocol::{parse_request, Request};
 pub use store::{firmware_identity, FindingsStore, StoreFinding};

@@ -3,213 +3,12 @@
 //! One request per line, one response per line, over a Unix stream
 //! socket. Requests are flat JSON objects dispatched on a `cmd` field;
 //! responses carry `"ok": true` plus command-specific fields, or
-//! `"ok": false` with an `error` string. The parser is a small
-//! recursive-descent JSON reader (the repo is serde-free by design;
-//! hand-rolled wire formats are the house idiom).
+//! `"ok": false` with an `error` string. Lines are read and written with
+//! [`embsan_obs::json`].
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use embsan_obs::json::{self, Value};
 
 use crate::job::Drill;
-
-/// A parsed JSON value (integers only — the protocol has no floats).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A non-negative integer (all protocol numbers are u64).
-    Num(u64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object (key order discarded; duplicate keys keep the last).
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// The value as a u64, if numeric.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an object, if one.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Obj(map) => Some(map),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-type ParseResult<T> = Result<T, String>;
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> ParseResult<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> ParseResult<()> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> ParseResult<Value> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> ParseResult<Value> {
-        match self.peek()? {
-            b'n' => self.literal("null", Value::Null),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'"' => self.string().map(Value::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            b'0'..=b'9' => self.number(),
-            other => Err(format!("unexpected `{}` at byte {}", other as char, self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> ParseResult<Value> {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are UTF-8");
-        text.parse::<u64>().map(Value::Num).map_err(|_| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> ParseResult<String> {
-        self.expect(b'"')?;
-        let mut out: Vec<u8> = Vec::new();
-        loop {
-            let byte =
-                *self.bytes.get(self.pos).ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match byte {
-                b'"' => {
-                    return String::from_utf8(out).map_err(|_| "invalid UTF-8".to_string());
-                }
-                b'\\' => {
-                    let escape = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push(b'"'),
-                        b'\\' => out.push(b'\\'),
-                        b'/' => out.push(b'/'),
-                        b'n' => out.push(b'\n'),
-                        b't' => out.push(b'\t'),
-                        b'r' => out.push(b'\r'),
-                        other => return Err(format!("unsupported escape `\\{}`", other as char)),
-                    }
-                }
-                // Raw bytes (including multi-byte UTF-8 sequences from the
-                // &str input) pass through and are validated once at the end.
-                other => out.push(other),
-            }
-        }
-    }
-
-    fn array(&mut self) -> ParseResult<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => return Err(format!("expected `,` or `]`, got `{}`", other as char)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> ParseResult<Value> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                other => return Err(format!("expected `,` or `}}`, got `{}`", other as char)),
-            }
-        }
-    }
-}
-
-/// Parses one JSON value from `text` (trailing whitespace allowed).
-///
-/// # Errors
-///
-/// A message describing the first syntax error.
-pub fn parse_json(text: &str) -> ParseResult<Value> {
-    let mut parser = Parser::new(text);
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing bytes after value at byte {}", parser.pos));
-    }
-    Ok(value)
-}
 
 /// One client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -245,9 +44,8 @@ pub enum Request {
 ///
 /// A message suitable for an `"ok": false` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value = parse_json(line)?;
-    let obj = value.as_obj().ok_or("request must be a JSON object")?;
-    let cmd = obj.get("cmd").and_then(Value::as_str).ok_or("missing `cmd` string")?;
+    let request = json::parse(line)?;
+    let cmd = request.get("cmd").and_then(Value::as_str).ok_or("missing `cmd` string")?;
     match cmd {
         "ping" => Ok(Request::Ping),
         "jobs" => Ok(Request::Jobs),
@@ -255,21 +53,21 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "report" => Ok(Request::Report),
         "shutdown" => Ok(Request::Shutdown),
         "submit" => {
-            let firmware = obj
+            let firmware = request
                 .get("firmware")
                 .and_then(Value::as_str)
                 .ok_or("submit: missing `firmware` string")?
                 .to_string();
-            let iterations = obj
+            let iterations = request
                 .get("iterations")
                 .and_then(Value::as_u64)
                 .ok_or("submit: missing `iterations` number")?;
             if iterations == 0 {
                 return Err("submit: `iterations` must be positive".to_string());
             }
-            let seed = obj.get("seed").and_then(Value::as_u64).unwrap_or(0);
-            let priority = obj.get("priority").and_then(Value::as_u64).unwrap_or(0);
-            let drill = match obj.get("drill") {
+            let seed = request.get("seed").and_then(Value::as_u64).unwrap_or(0);
+            let priority = request.get("priority").and_then(Value::as_u64).unwrap_or(0);
+            let drill = match request.get("drill") {
                 None | Some(Value::Null) => None,
                 Some(value) => {
                     let text = value.as_str().ok_or("submit: `drill` must be a string")?;
@@ -282,73 +80,20 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Escapes a string for embedding in a JSON response.
-pub fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Builds an `"ok": false` response line (no trailing newline).
 pub fn error_response(message: &str) -> String {
-    format!("{{\"ok\":false,\"error\":\"{}\"}}", escape_json(message))
+    Value::object([("ok", Value::Bool(false)), ("error", Value::from(message))]).to_string()
 }
 
-/// Builds an `"ok": true` response line from pre-rendered JSON fields
-/// (each entry is `"key":<json>`; no trailing newline).
-pub fn ok_response(fields: &[String]) -> String {
-    let mut out = String::from("{\"ok\":true");
-    for field in fields {
-        out.push(',');
-        out.push_str(field);
-    }
-    out.push('}');
-    out
+/// Builds an `"ok": true` response line from command-specific fields (no
+/// trailing newline).
+pub fn ok_response<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> String {
+    Value::object([("ok", Value::Bool(true))].into_iter().chain(fields)).to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_nested_values() {
-        let value = parse_json(r#"{"a":[1,2,{"b":"x"}],"c":true,"d":null}"#).unwrap();
-        let obj = value.as_obj().unwrap();
-        assert_eq!(obj.get("c"), Some(&Value::Bool(true)));
-        assert_eq!(obj.get("d"), Some(&Value::Null));
-        match obj.get("a") {
-            Some(Value::Arr(items)) => {
-                assert_eq!(items[0], Value::Num(1));
-                assert_eq!(items[2].as_obj().unwrap().get("b").unwrap().as_str(), Some("x"));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_escapes_and_unicode() {
-        let value = parse_json(r#""a\"b\\c\nd — ü""#).unwrap();
-        assert_eq!(value.as_str(), Some("a\"b\\c\nd — ü"));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "{\"a\":1}x", "-5", "tru"] {
-            assert!(parse_json(bad).is_err(), "{bad:?} should fail");
-        }
-    }
 
     #[test]
     fn requests_roundtrip_through_the_parser() {
@@ -368,16 +113,19 @@ mod tests {
             }
         );
         assert!(parse_request(r#"{"cmd":"submit","firmware":"x"}"#).is_err(), "no iterations");
+        assert!(parse_request(r#"{"cmd":"submit","firmware":"x","iterations":-5}"#).is_err());
         assert!(parse_request(r#"{"cmd":"nope"}"#).is_err());
+        assert!(parse_request("[\"cmd\"]").is_err());
         assert!(parse_request("not json").is_err());
     }
 
     #[test]
     fn responses_are_valid_json() {
-        let ok = ok_response(&["\"id\":7".to_string()]);
+        let ok = ok_response([("id", Value::from(7u64))]);
         assert_eq!(ok, "{\"ok\":true,\"id\":7}");
-        parse_json(&ok).unwrap();
-        let err = error_response("bad \"thing\"\n");
-        parse_json(&err).unwrap();
+        json::parse(&ok).unwrap();
+        let message = "bad \"thing\"\n\u{1}";
+        let err = json::parse(&error_response(message)).unwrap();
+        assert_eq!(err.get("error").and_then(Value::as_str), Some(message));
     }
 }

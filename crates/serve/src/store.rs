@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use embsan_core::report::{BugClass, Report};
+use embsan_obs::json::Value;
 
 /// One deduplicated finding as submitted by a worker turn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,33 +88,30 @@ impl FindingsStore {
         self.entries.values().map(|e| e.reporters.len()).sum()
     }
 
-    /// Deterministic JSON rendering: entries in key order, reporters
-    /// sorted, no timing or host data. Byte-identical across any
-    /// kill/resume schedule that reaches the same set of findings.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"uniques\":");
-        out.push_str(&self.uniques().to_string());
-        out.push_str(",\"entries\":[");
-        for (index, ((firmware, signature), entry)) in self.entries.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
+    /// Deterministic JSON value: entries in key order, reporters sorted,
+    /// no timing or host data. Byte-identical across any kill/resume
+    /// schedule that reaches the same set of findings.
+    pub fn to_value(&self) -> Value {
+        let entries = self.entries.iter().map(|((firmware, signature), entry)| {
             let label = BugClass::from_code(entry.class).map_or("unknown", |c| c.label());
-            out.push_str(&format!(
-                "{{\"firmware\":{firmware},\"signature\":{signature},\"class\":\"{label}\",\
-                 \"pc\":{},\"reporters\":[",
-                entry.pc
-            ));
-            for (rindex, reporter) in entry.reporters.iter().enumerate() {
-                if rindex > 0 {
-                    out.push(',');
-                }
-                out.push_str(&reporter.to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            let reporters = entry.reporters.iter().map(|&job| Value::from(job)).collect();
+            Value::object([
+                ("firmware", Value::from(*firmware)),
+                ("signature", Value::from(*signature)),
+                ("class", Value::from(label)),
+                ("pc", Value::from(u64::from(entry.pc))),
+                ("reporters", Value::Arr(reporters)),
+            ])
+        });
+        Value::object([
+            ("uniques", Value::from(self.uniques())),
+            ("entries", Value::Arr(entries.collect())),
+        ])
+    }
+
+    /// [`FindingsStore::to_value`] as compact JSON.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_string()
     }
 }
 

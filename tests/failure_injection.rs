@@ -201,6 +201,115 @@ fn fault_plan_parser_is_total() {
     }
 }
 
+/// Every JSON surface reachable from a file or a socket is total: the
+/// serve request line, the serve manifest line, the analysis artifact and
+/// the bench baseline return `Ok` or `Err` — never panic or overflow the
+/// stack — on every prefix of a valid document, on seeded token soup and
+/// on deeply nested lines.
+#[test]
+fn json_surfaces_are_total() {
+    use embsan::analysis::AnalysisArtifact;
+    use embsan::serve::{parse_request, JobSpec};
+    use embsan_bench::baseline::{parse_baseline, BaselinePoint};
+
+    let request = r#"{"cmd":"submit","firmware":"TP-Link WDR-7660","iterations":400,"seed":18446744073709551615,"priority":2,"drill":"panic-after:40"}"#;
+    let manifest = r#"{"id":3,"firmware":"TP-Link WDR-7660","iterations":400,"seed":7,"priority":2,"drill":"wedge-at:40"}"#;
+    let artifact = AnalysisArtifact::from_image(&clean_image(SanMode::None)).to_json();
+    let baseline = include_str!("../BENCH_throughput.json");
+    let valid_docs = [request, manifest, &artifact, baseline];
+    let parsers: [fn(&str) -> bool; 4] = [
+        |text| parse_request(text).is_ok(),
+        |text| JobSpec::from_json(text).is_ok(),
+        |text| AnalysisArtifact::parse(text).is_ok(),
+        |text| parse_baseline(text).is_ok(),
+    ];
+
+    // The CI bench gate reads the checked-in baseline: its points are
+    // unchanged by the move to the shared parser.
+    let flagged = |workers, execs_per_sec, oversubscribed| BaselinePoint {
+        firmware: "TP-Link WDR-7660".to_string(),
+        workers,
+        execs_per_sec,
+        oversubscribed,
+        base_bytes: Some(4_718_592),
+        peak_overlay_bytes: Some(16_384),
+    };
+    assert_eq!(
+        parse_baseline(baseline).unwrap(),
+        [flagged(1, 23750.3882, false), flagged(2, 22997.7088, true)]
+    );
+
+    let tokens = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        "\"",
+        "\\",
+        "\\u",
+        "d83d",
+        "\\ud800",
+        "-",
+        "-1",
+        "0",
+        "1.5e3",
+        "18446744073709551616",
+        "1e999",
+        "true",
+        "null",
+        " ",
+        "\n",
+        "é",
+        "😀",
+        "\"cmd\"",
+        "\"submit\"",
+        "\"iterations\"",
+        "\"firmware\"",
+        "\"schema\"",
+        "\"embsan-bench-throughput-v1\"",
+        "\"firmwares\"",
+        "\"workers\"",
+        "\"version\"",
+        "\"embsan-analysis-v1\"",
+        "\"blocks\"",
+    ];
+    let mut rng = embsan::fuzz::SplitMix64::seed_from_u64(0x15_0A);
+    let mut garbage = Vec::new();
+    for _ in 0..500 {
+        let len = rng.range_usize(0, 40);
+        let doc: String = (0..len)
+            .map(|_| match rng.range_usize(0, 8) {
+                0 => char::from(rng.gen_u8() % 95 + 32).to_string(),
+                _ => tokens[rng.range_usize(0, tokens.len())].to_string(),
+            })
+            .collect();
+        garbage.push(doc);
+    }
+    let deep = ["[".repeat(50_000), "{\"cmd\":".repeat(50_000), "[{\"a\":".repeat(20_000)];
+
+    for (valid, parses) in valid_docs.into_iter().zip(parsers) {
+        assert!(parses(valid), "{valid}");
+        for cut in (0..valid.len()).filter(|&cut| valid.is_char_boundary(cut)) {
+            parses(&valid[..cut]);
+        }
+        // One token spliced into the valid document reaches the schema
+        // checks behind the syntax.
+        for _ in 0..200 {
+            let mut at = rng.range_usize(0, valid.len());
+            while !valid.is_char_boundary(at) {
+                at -= 1;
+            }
+            let token = tokens[rng.range_usize(0, tokens.len())];
+            parses(&format!("{}{token}{}", &valid[..at], &valid[at..]));
+        }
+        for doc in garbage.iter().chain(&deep) {
+            parses(doc);
+        }
+    }
+}
+
 /// The sanitizer-DSL parser is total on malformed, truncated and
 /// interleaved documents: typed [`ParseError`]s with line numbers, never a
 /// panic, and well-formed prefixes never produce phantom items.
