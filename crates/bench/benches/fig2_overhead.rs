@@ -10,9 +10,10 @@
 use std::time::{Duration, Instant};
 
 use embsan_core::probe::{probe, ProbeMode};
-use embsan_core::session::Session;
 use embsan_emu::hook::NullHook;
 use embsan_emu::machine::{Machine, RunExit};
+use embsan_fuzz::campaign::boot_session;
+use embsan_fuzz::CampaignConfig;
 use embsan_guestos::executor::ExecProgram;
 use embsan_guestos::firmware_by_name;
 use embsan_guestos::workload::merged_corpus;
@@ -76,10 +77,9 @@ fn bench_baseline() {
 fn bench_sanitized(name: &str, san: SanMode, mode: ProbeMode) {
     let spec = firmware_by_name("OpenWRT-armvirt").unwrap();
     let image = spec.build(san).unwrap();
-    let specs = embsan_core::reference_specs().unwrap();
     let artifacts = probe(&image, mode, None).unwrap();
-    let mut session = Session::new(&image, &specs, &artifacts).unwrap();
-    session.run_to_ready(400_000_000).unwrap();
+    let ready = CampaignConfig { ready_budget: 400_000_000, ..CampaignConfig::default() };
+    let mut session = boot_session(&image, &artifacts, 1, &ready).unwrap();
     let corpus = corpus();
     bench_function(name, || {
         session.reset().unwrap();

@@ -25,7 +25,10 @@ use embsan_core::runtime::shadow::{code, ShadowMemory};
 use embsan_core::session::Session;
 use embsan_dsl::SanitizerSpec;
 use embsan_emu::profile::Arch;
-use embsan_fuzz::{descriptions_for, CoverageSource, Dictionary, Fuzzer, FuzzerConfig, Strategy};
+use embsan_fuzz::campaign::boot_session;
+use embsan_fuzz::{
+    descriptions_for, CampaignConfig, CoverageSource, Dictionary, Fuzzer, FuzzerConfig, Strategy,
+};
 use embsan_guestos::bugs::{trigger_key, BugKind, BugSpec};
 use embsan_guestos::executor::{sys, ExecProgram};
 use embsan_guestos::{os, BuildOptions, SanMode};
@@ -175,9 +178,8 @@ pub fn fuzzer_ablation(
     let image = spec.build(spec.default_san_mode()).expect("build");
     let artifacts =
         probe(&image, embsan_fuzz::campaign::probe_mode_for(spec), None).expect("probe");
-    let sanitizers = embsan_core::reference_specs().expect("specs");
-    let mut session = Session::new(&image, &sanitizers, &artifacts).expect("session");
-    session.run_to_ready(400_000_000).expect("ready");
+    let ready = CampaignConfig { ready_budget: 400_000_000, ..CampaignConfig::default() };
+    let mut session = boot_session(&image, &artifacts, 1, &ready).expect("ready");
     let dict = if dictionary { Dictionary::extract(&image) } else { Dictionary::default() };
     let mut config = FuzzerConfig::new(Strategy::Tardis, 0xAB1A);
     config.deterministic_stage = deterministic_stage;
@@ -215,10 +217,9 @@ pub fn prepoison_ablation(prepoisoned: bool) -> PrepoisonRow {
     } else {
         (os::vxworks::build(&opts, &bugs).expect("build"), ProbeMode::DynamicBinary)
     };
-    let sanitizers = embsan_core::reference_specs().expect("specs");
     let artifacts = probe(&image, mode, None).expect("probe");
-    let mut session = Session::new(&image, &sanitizers, &artifacts).expect("session");
-    session.run_to_ready(400_000_000).expect("ready");
+    let ready = CampaignConfig { ready_budget: 400_000_000, ..CampaignConfig::default() };
+    let mut session = boot_session(&image, &artifacts, 1, &ready).expect("ready");
     let mut detect = |nr: u8, location: &str| -> bool {
         let mut program = ExecProgram::new();
         program.push(nr, &[trigger_key(location)]);
@@ -255,10 +256,9 @@ pub fn coverage_source_ablation(source: CoverageSource, iterations: u64) -> Cove
     let bug = BugSpec::new("ablation/covsrc", BugKind::OobWrite);
     let opts = BuildOptions::new(Arch::Armv).san(SanMode::SanCall).kcov(true);
     let image = os::emblinux::build(&opts, std::slice::from_ref(&bug)).expect("build");
-    let sanitizers = embsan_core::reference_specs().expect("specs");
     let artifacts = probe(&image, ProbeMode::CompileTime, None).expect("probe");
-    let mut session = Session::new(&image, &sanitizers, &artifacts).expect("session");
-    session.run_to_ready(400_000_000).expect("ready");
+    let ready = CampaignConfig { ready_budget: 400_000_000, ..CampaignConfig::default() };
+    let mut session = boot_session(&image, &artifacts, 1, &ready).expect("ready");
     let mut config = FuzzerConfig::new(Strategy::Syz, 0xC0DE);
     config.coverage_source = source;
     let mut descs = embsan_fuzz::descs::base_descriptions();

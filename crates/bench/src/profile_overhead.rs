@@ -14,7 +14,8 @@
 use std::time::{Duration, Instant};
 
 use embsan_core::probe::{probe, ProbeMode};
-use embsan_core::session::Session;
+use embsan_fuzz::campaign::boot_session;
+use embsan_fuzz::CampaignConfig;
 use embsan_guestos::workload::merged_corpus;
 use embsan_guestos::{FirmwareSpec, SanMode};
 use embsan_obs::{ProfileReport, Profiler};
@@ -77,9 +78,8 @@ pub fn measure_profile_overhead(
     let mode =
         if image.has_symbols() { ProbeMode::DynamicSource } else { ProbeMode::DynamicBinary };
     let artifacts = probe(&image, mode, None).expect("probing");
-    let specs = embsan_core::reference_specs().expect("reference specs");
-    let mut session = Session::new(&image, &specs, &artifacts).expect("session constructs");
-    session.run_to_ready(READY_BUDGET).expect("ready");
+    let ready = CampaignConfig { ready_budget: READY_BUDGET, ..CampaignConfig::default() };
+    let mut session = boot_session(&image, &artifacts, 1, &ready).expect("ready");
 
     let mut rounds = Vec::with_capacity(workload.rounds);
     for _ in 0..workload.rounds.max(1) {

@@ -10,10 +10,11 @@
 
 use embsan_core::probe::{probe, ProbeMode};
 use embsan_core::report::BugClass;
-use embsan_core::session::Session;
 use embsan_emu::hook::NullHook;
 use embsan_emu::machine::RunExit;
 use embsan_emu::profile::Arch;
+use embsan_fuzz::campaign::boot_session;
+use embsan_fuzz::CampaignConfig;
 use embsan_guestos::bugs::{trigger_key, BugKind, BugSpec, KnownBug, KNOWN_BUGS};
 use embsan_guestos::executor::{sys, ExecProgram};
 use embsan_guestos::native::{KASAN_EXIT, KASAN_MARKER};
@@ -61,10 +62,9 @@ fn replay_embsan(bug: &KnownBug, san: SanMode, mode: ProbeMode) -> bool {
     let opts = BuildOptions::new(Arch::Armv).san(san);
     let image =
         os::emblinux::build(&opts, std::slice::from_ref(&spec)).expect("known-bug kernel builds");
-    let sanitizers = embsan_core::reference_specs().expect("reference specs distill");
     let artifacts = probe(&image, mode, None).expect("probing succeeds");
-    let mut session = Session::new(&image, &sanitizers, &artifacts).expect("session constructs");
-    session.run_to_ready(READY_BUDGET).expect("firmware becomes ready");
+    let ready = CampaignConfig { ready_budget: READY_BUDGET, ..CampaignConfig::default() };
+    let mut session = boot_session(&image, &artifacts, 1, &ready).expect("ready");
     let outcome = session.run_program(&reproducer(bug), RUN_BUDGET).expect("reproducer runs");
     let expected = expected_classes(bug.kind);
     outcome.reports.iter().any(|r| expected.contains(&r.class))

@@ -7,12 +7,14 @@ use embsan_analysis::cfg::Cfg;
 use embsan_analysis::races::race_candidates;
 use embsan_analysis::static_priors_from_cfg;
 use embsan_asm::image::{FirmwareImage, InstrMode};
-use embsan_core::probe::{probe, ProbeMode};
+use embsan_core::probe::{probe, ProbeArtifacts, ProbeMode};
 use embsan_core::session::Session;
 use embsan_dsl::merge;
 use embsan_emu::hook::HookConfig;
 use embsan_emu::isa::{Insn, Word};
 use embsan_emu::profile::{Arch, ArchProfile};
+use embsan_fuzz::campaign::boot_session;
+use embsan_fuzz::CampaignConfig;
 use embsan_guestos::bugs::{BugKind, BugSpec};
 use embsan_guestos::executor::ExecProgram;
 use embsan_guestos::{os, BuildOptions, SanMode};
@@ -74,8 +76,10 @@ USAGE:
       --journal FILE             supervised run; stream findings, corpus adds
                                  and checkpoints to an append-only journal
       --resume FILE              resume a killed campaign from its journal
-                                 (image path comes from the journal; results
-                                 are bit-identical to an uninterrupted run)
+                                 (the journal carries the campaign; --cpus,
+                                 --mode and --syscalls must match the
+                                 original run; results are bit-identical to
+                                 an uninterrupted run)
       --fault-plan FILE          arm a deterministic fault-injection plan
                                  (`at N [every M xK] <kind> ...` per line)
       --kill-after N             resilience drill: stop after N iterations
@@ -222,7 +226,10 @@ fn parse_bug(text: &str) -> Result<BugSpec, String> {
 }
 
 fn load_image(parsed: &Parsed) -> Result<FirmwareImage, String> {
-    let path = parsed.positional.first().ok_or("expected an image path")?;
+    read_image(parsed.positional.first().ok_or("expected an image path")?)
+}
+
+fn read_image(path: &str) -> Result<FirmwareImage, String> {
     let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     FirmwareImage::parse(&bytes).map_err(|e| format!("{path}: {e}"))
 }
@@ -551,26 +558,38 @@ fn mmio_model_free(parsed: &Parsed) -> Result<(Option<(u32, u32)>, bool), String
     Ok((Some(region), withheld))
 }
 
-fn ready_session(parsed: &Parsed) -> Result<(Session, FirmwareImage), String> {
-    let image = load_image(parsed)?;
-    let mode = probe_mode(parsed, &image)?;
-    let artifacts = probe(&image, mode, None).map_err(|e| e.to_string())?;
-    let specs = embsan_core::reference_specs().map_err(|e| e.to_string())?;
-    let cpus = parsed.option_u64("cpus", 1)? as usize;
-    let mut session =
-        Session::with_cpus(&image, &specs, &artifacts, cpus).map_err(|e| e.to_string())?;
-    let (model_free, withheld) = mmio_model_free(parsed)?;
-    if let Some((base, size)) = model_free {
-        // Before run_to_ready, so boot-time refinement is in the reset
-        // snapshot (see Session::enable_model_free).
-        session.enable_model_free(base, size, withheld);
-    }
-    session.run_to_ready(parsed.option_u64("budget", 400_000_000)?).map_err(|e| e.to_string())?;
-    Ok((session, image))
+/// The campaign parameters the command line fixes.
+fn fuzz_campaign(parsed: &Parsed) -> Result<CampaignConfig, String> {
+    let (model_free, mmio_withheld) = mmio_model_free(parsed)?;
+    Ok(CampaignConfig {
+        iterations: parsed.option_u64("iters", 5_000)?,
+        seed: parsed.option_u64("seed", 0xE1B)?,
+        ready_budget: parsed.option_u64("budget", 400_000_000)?,
+        model_free,
+        mmio_withheld,
+        ..CampaignConfig::default()
+    })
+}
+
+/// Probes `image` in the `--mode` probe mode; returns the artifacts and
+/// the `--cpus` vCPU count a session boots them on.
+fn probe_image(parsed: &Parsed, image: &FirmwareImage) -> Result<(ProbeArtifacts, usize), String> {
+    let mode = probe_mode(parsed, image)?;
+    let artifacts = probe(image, mode, None).map_err(|e| e.to_string())?;
+    Ok((artifacts, parsed.option_u64("cpus", 1)? as usize))
+}
+
+fn ready_session(
+    parsed: &Parsed,
+    image: &FirmwareImage,
+    campaign: &CampaignConfig,
+) -> Result<Session, String> {
+    let (artifacts, cpus) = probe_image(parsed, image)?;
+    boot_session(image, &artifacts, cpus, campaign).map_err(|e| e.to_string())
 }
 
 fn cmd_run(parsed: &Parsed) -> Result<(), String> {
-    let (mut session, _image) = ready_session(parsed)?;
+    let mut session = ready_session(parsed, &load_image(parsed)?, &fuzz_campaign(parsed)?)?;
     let program = calls_program(parsed)?;
     let outcome = session.run_program(&program, 50_000_000).map_err(|e| e.to_string())?;
     println!("exit:    {:?}", outcome.exit);
@@ -603,7 +622,7 @@ fn calls_program(parsed: &Parsed) -> Result<ExecProgram, String> {
 fn cmd_trace(parsed: &Parsed) -> Result<(), String> {
     use embsan_obs::{trace_to_chrome, trace_to_jsonl, TraceConfig};
     let image_path = parsed.positional.first().ok_or("expected an image path")?.clone();
-    let (mut session, _image) = ready_session(parsed)?;
+    let mut session = ready_session(parsed, &load_image(parsed)?, &fuzz_campaign(parsed)?)?;
     // Enabled after `run_to_ready` so the trace holds only the programs'
     // events; the full preset is reproducible because a single sequential
     // session's cache behaviour is itself deterministic.
@@ -689,21 +708,6 @@ fn fuzz_fault_plan(parsed: &Parsed) -> Result<Option<embsan_emu::fault::FaultPla
     Ok(Some(plan))
 }
 
-/// Builds the supervisor policy from command-line options.
-fn fuzz_supervisor_config(parsed: &Parsed) -> Result<embsan_fuzz::SupervisorConfig, String> {
-    let config = embsan_fuzz::SupervisorConfig {
-        checkpoint_interval: parsed.option_u64("checkpoint-every", 500)?,
-        kill_after: match parsed.option("kill-after") {
-            Some(_) => Some(parsed.option_u64("kill-after", 0)?),
-            None => None,
-        },
-        fault_plan: fuzz_fault_plan(parsed)?,
-        trace: parsed.option("trace-out").is_some(),
-        ..Default::default()
-    };
-    Ok(config)
-}
-
 /// Writes the `--trace-out` / `--metrics-out` artifacts of a fuzz run.
 /// Metrics are serialized with deterministic entries only, so the file is
 /// byte-identical across repeated runs and worker counts at a fixed seed.
@@ -724,6 +728,16 @@ fn write_fuzz_outputs(
         println!("wrote {path}");
     }
     Ok(())
+}
+
+fn print_findings(findings: &[embsan_fuzz::Finding]) {
+    for finding in findings {
+        let calls: Vec<u8> = finding.program.calls.iter().map(|c| c.nr).collect();
+        println!(
+            "[{}] pc={:#010x} reproducer calls {calls:?}",
+            finding.report.class, finding.report.pc
+        );
+    }
 }
 
 fn print_supervised(outcome: &embsan_fuzz::SupervisedOutcome) {
@@ -761,26 +775,17 @@ fn print_supervised(outcome: &embsan_fuzz::SupervisedOutcome) {
             outcome.iterations_done
         );
     }
-    for finding in &outcome.findings {
-        println!(
-            "[{}] pc={:#010x} reproducer calls {:?}",
-            finding.report.class,
-            finding.report.pc,
-            finding.program.calls.iter().map(|c| c.nr).collect::<Vec<_>>()
-        );
-    }
+    print_findings(&outcome.findings);
 }
 
 fn cmd_fuzz(parsed: &Parsed) -> Result<(), String> {
-    if parsed.option("resume").is_some() {
-        return cmd_fuzz_resume(parsed);
-    }
     let workers_flag = parsed.option("workers").is_some();
     let workers = parsed.option_u64("workers", 1)? as usize;
     if workers_flag && workers == 0 {
         return Err("--workers must be at least 1".to_string());
     }
     let supervised = parsed.option("journal").is_some()
+        || parsed.option("resume").is_some()
         || parsed.option("fault-plan").is_some()
         || parsed.option("kill-after").is_some()
         || parsed.flags.iter().any(|f| f == "supervised");
@@ -838,27 +843,13 @@ fn warn_degraded(
 }
 
 fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize) -> Result<(), String> {
-    use embsan_fuzz::{
-        run_parallel_directed, CampaignConfig, CampaignError, Dictionary, ParallelConfig, Strategy,
-    };
+    use embsan_fuzz::{run_parallel_directed, Dictionary, ParallelConfig, Strategy};
     let image = load_image(parsed)?;
-    let mode = probe_mode(parsed, &image)?;
-    let artifacts = probe(&image, mode, None).map_err(|e| e.to_string())?;
-    let specs = embsan_core::reference_specs().map_err(|e| e.to_string())?;
-    let cpus = parsed.option_u64("cpus", 1)? as usize;
-    let ready_budget = parsed.option_u64("budget", 400_000_000)?;
-    let (model_free, mmio_withheld) = mmio_model_free(parsed)?;
+    let (artifacts, cpus) = probe_image(parsed, &image)?;
     let config = ParallelConfig {
         workers,
         epoch_len: parsed.option_u64("epoch", 64)?,
-        campaign: CampaignConfig {
-            iterations: parsed.option_u64("iters", 5_000)?,
-            seed: parsed.option_u64("seed", 0xE1B)?,
-            ready_budget,
-            model_free,
-            mmio_withheld,
-            ..CampaignConfig::default()
-        },
+        campaign: fuzz_campaign(parsed)?,
         trace: parsed.option("trace-out").is_some(),
         ..ParallelConfig::default()
     };
@@ -873,15 +864,7 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize) -> Result<(), String> {
         config.epoch_len,
         dict.len()
     );
-    let factory = |_worker: usize| -> Result<Session, CampaignError> {
-        let mut session =
-            Session::with_cpus(&image, &specs, &artifacts, cpus).map_err(CampaignError::from)?;
-        if let Some((base, size)) = model_free {
-            session.enable_model_free(base, size, mmio_withheld);
-        }
-        session.run_to_ready(ready_budget).map_err(CampaignError::from)?;
-        Ok(session)
-    };
+    let factory = |_worker: usize| boot_session(&image, &artifacts, cpus, &config.campaign);
     let outcome = run_parallel_directed(
         factory,
         &syscall_descs,
@@ -909,14 +892,7 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize) -> Result<(), String> {
         stats.cache.hits,
         stats.cache.generation_hits
     );
-    for finding in &outcome.findings {
-        println!(
-            "[{}] pc={:#010x} reproducer calls {:?}",
-            finding.report.class,
-            finding.report.pc,
-            finding.program.calls.iter().map(|c| c.nr).collect::<Vec<_>>()
-        );
-    }
+    print_findings(&outcome.findings);
     // No worker count in the meta: the trace and deterministic metrics are
     // byte-identical for every worker count, and the header must be too.
     let seed = config.campaign.seed.to_string();
@@ -1030,11 +1006,12 @@ fn cmd_bench(parsed: &Parsed) -> Result<(), String> {
 
 fn cmd_fuzz_plain(parsed: &Parsed) -> Result<(), String> {
     use embsan_fuzz::{Dictionary, Fuzzer, FuzzerConfig, Strategy};
-    let (mut session, image) = ready_session(parsed)?;
-    let iters = parsed.option_u64("iters", 5_000)?;
-    let seed = parsed.option_u64("seed", 0xE1B)?;
+    let image = load_image(parsed)?;
+    let campaign = fuzz_campaign(parsed)?;
+    let mut session = ready_session(parsed, &image, &campaign)?;
     let syscall_descs = fuzz_descriptions(parsed)?;
     let dict = Dictionary::extract(&image);
+    let (iters, seed) = (campaign.iterations, campaign.seed);
     println!("fuzzing: {iters} iterations, seed {seed}, dictionary {} entries", dict.len());
     let direction = fuzz_direction(parsed, &image)?;
     let config = FuzzerConfig::new(Strategy::Tardis, seed);
@@ -1051,23 +1028,24 @@ fn cmd_fuzz_plain(parsed: &Parsed) -> Result<(), String> {
     if let Some((min, mean)) = fuzzer.frontier_distance() {
         println!("frontier: min {min} mean {mean} milli-edges to target");
     }
-    let findings = fuzzer.into_findings();
-    for finding in &findings {
-        println!(
-            "[{}] pc={:#010x} reproducer calls {:?}",
-            finding.report.class,
-            finding.report.pc,
-            finding.program.calls.iter().map(|c| c.nr).collect::<Vec<_>>()
-        );
-    }
+    print_findings(&fuzzer.into_findings());
     write_fuzz_outputs(parsed, None, &session.metrics_snapshot(), &[])
 }
 
+/// A supervised run: a fresh campaign from the command line, or with
+/// `--resume` a killed one from its journal. A journal carries the
+/// campaign, but the session's shape (`--cpus`, `--mode`) and the syscall
+/// descriptions (`--syscalls`) come from the command line; the run checks
+/// both against the journal before its first iteration.
 fn cmd_fuzz_supervised(
     parsed: &Parsed,
     mut degraded: Vec<embsan_obs::MetricEntry>,
 ) -> Result<(), String> {
-    use embsan_fuzz::{run_supervised_session, Dictionary, Journal, StartInfo, Strategy};
+    use embsan_fuzz::{
+        CampaignErrorKind, Dictionary, JournalError, StartInfo, Strategy, SupervisedRun,
+        SupervisorConfig,
+    };
+    use std::path::Path;
     if parsed.option("analysis").is_some() {
         // The journal format carries no scores; directed scheduling would
         // not survive a resume bit-identically, so the supervised path
@@ -1079,127 +1057,60 @@ fn cmd_fuzz_supervised(
             "supervised/journaled runs are undirected; ignoring --analysis".to_string(),
         ));
     }
-    let image_path = parsed.positional.first().ok_or("expected an image path")?.clone();
-    let (mut session, image) = ready_session(parsed)?;
-    let mut config = fuzz_supervisor_config(parsed)?;
-    let (model_free, mmio_withheld) = mmio_model_free(parsed)?;
-    // Keep the supervisor's campaign view coherent with the live session
-    // (ready_session already enabled the region before boot).
-    config.campaign.model_free = model_free;
-    config.campaign.mmio_withheld = mmio_withheld;
-    let start = StartInfo {
-        firmware: image_path,
-        strategy: Strategy::Tardis,
-        seed: parsed.option_u64("seed", 0xE1B)?,
-        iterations: parsed.option_u64("iters", 5_000)?,
-        ready_budget: parsed.option_u64("budget", 400_000_000)?,
-        program_budget: 3_000_000,
-        checkpoint_interval: config.checkpoint_interval,
-        // Stamped with the live session's hash by the supervised span.
-        base_hash: 0,
-        model_free,
-        mmio_withheld,
+    let run = match parsed.option("resume") {
+        Some(path) => SupervisedRun::resume(Path::new(path)).map_err(|e| format!("{path}: {e}"))?,
+        None => {
+            let image_path = parsed.positional.first().ok_or("expected an image path")?;
+            let start = StartInfo::new(
+                image_path.clone(),
+                Strategy::Tardis,
+                &fuzz_campaign(parsed)?,
+                parsed.option_u64("checkpoint-every", 500)?,
+            );
+            SupervisedRun::fresh(start, parsed.option("journal").map(Path::new))
+        }
+    };
+    let image = read_image(&run.start.firmware)?;
+    let mut session = ready_session(parsed, &image, &run.start.campaign())?;
+    let policy = SupervisorConfig {
+        kill_after: parsed
+            .option("kill-after")
+            .map(|_| parsed.option_u64("kill-after", 0))
+            .transpose()?,
+        fault_plan: fuzz_fault_plan(parsed)?,
+        trace: parsed.option("trace-out").is_some(),
+        ..SupervisorConfig::default()
     };
     let syscall_descs = fuzz_descriptions(parsed)?;
     let dict = Dictionary::extract(&image);
-    let mut journal = match parsed.option("journal") {
-        Some(path) => {
-            Some(Journal::create(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-    println!(
-        "supervised fuzzing: {} iterations, seed {}, dictionary {} entries{}",
-        start.iterations,
-        start.seed,
-        dict.len(),
-        if config.fault_plan.is_some() { ", fault plan armed" } else { "" }
-    );
-    let seed = start.seed.to_string();
-    let iters = start.iterations.to_string();
-    let outcome = run_supervised_session(
-        &mut session,
-        syscall_descs,
-        dict,
-        &config,
-        start,
-        None,
-        journal.as_mut(),
-    )
-    .map_err(|e| e.to_string())?;
+    let seed = run.start.seed.to_string();
+    let iters = run.start.iterations.to_string();
+    match parsed.option("resume") {
+        Some(path) => println!(
+            "resuming: {} at iteration {}/{iters} (journal {path}{})",
+            run.start.firmware,
+            run.resume.as_ref().map_or(0, |point| point.iteration),
+            if run.truncated { ", torn tail discarded" } else { "" }
+        ),
+        None => println!(
+            "supervised fuzzing: {iters} iterations, seed {seed}, dictionary {} entries{}",
+            dict.len(),
+            if policy.fault_plan.is_some() { ", fault plan armed" } else { "" }
+        ),
+    }
+    let outcome =
+        run.run(&mut session, syscall_descs, dict, &policy).map_err(|e| match e.kind {
+            CampaignErrorKind::Journal(JournalError::Mismatch { .. }) => {
+                format!("{e}; resume with the original run's --cpus, --mode and --syscalls")
+            }
+            _ => e.to_string(),
+        })?;
     print_supervised(&outcome);
     let mut snapshot = outcome.metrics_snapshot();
     snapshot.entries.extend(degraded);
     snapshot.entries.sort_by(|a, b| (&a.subsystem, &a.name).cmp(&(&b.subsystem, &b.name)));
     let meta = [("engine", "supervised"), ("seed", seed.as_str()), ("iterations", iters.as_str())];
     write_fuzz_outputs(parsed, outcome.trace.as_ref(), &snapshot, &meta)
-}
-
-fn cmd_fuzz_resume(parsed: &Parsed) -> Result<(), String> {
-    use embsan_fuzz::{run_supervised_session, CampaignConfig, Dictionary, Journal};
-    let journal_path = parsed.option("resume").ok_or("expected --resume <journal>")?;
-    let loaded = Journal::load(std::path::Path::new(journal_path)).map_err(|e| e.to_string())?;
-    let start = loaded.start().map_err(|e| e.to_string())?.clone();
-    if loaded.ended() {
-        return Err(format!("{journal_path}: campaign already completed"));
-    }
-    // The journal's Start record names the image the campaign was fuzzing;
-    // the session is re-prepared from it exactly as `run_supervised_session`
-    // left it (probe mode and syscall count must match the original
-    // invocation — both default deterministically).
-    let image_path = &start.firmware;
-    let bytes = fs::read(image_path).map_err(|e| format!("cannot read {image_path}: {e}"))?;
-    let image = FirmwareImage::parse(&bytes).map_err(|e| format!("{image_path}: {e}"))?;
-    let mode = probe_mode(parsed, &image)?;
-    let artifacts = probe(&image, mode, None).map_err(|e| e.to_string())?;
-    let specs = embsan_core::reference_specs().map_err(|e| e.to_string())?;
-    let cpus = parsed.option_u64("cpus", 1)? as usize;
-    let mut session =
-        Session::with_cpus(&image, &specs, &artifacts, cpus).map_err(|e| e.to_string())?;
-    if let Some((base, size)) = start.model_free {
-        // Replaying a model-free campaign requires the same refinement
-        // configuration the journal was recorded under.
-        session.enable_model_free(base, size, start.mmio_withheld);
-    }
-    session.run_to_ready(start.ready_budget).map_err(|e| e.to_string())?;
-
-    let mut config = fuzz_supervisor_config(parsed)?;
-    config.campaign = CampaignConfig {
-        iterations: start.iterations,
-        seed: start.seed,
-        ready_budget: start.ready_budget,
-        program_budget: start.program_budget,
-        model_free: start.model_free,
-        mmio_withheld: start.mmio_withheld,
-    };
-    config.checkpoint_interval = start.checkpoint_interval;
-    let resume = embsan_fuzz::ResumePoint::from_journal(&loaded);
-    let resumed_at = resume.state.as_ref().map_or(0, |_| resume.iteration);
-    let mut journal = Journal::reopen(std::path::Path::new(journal_path), loaded.valid_len)
-        .map_err(|e| format!("{journal_path}: {e}"))?;
-    let syscall_descs = fuzz_descriptions(parsed)?;
-    let dict = Dictionary::extract(&image);
-    println!(
-        "resuming: {} at iteration {resumed_at}/{} (journal {journal_path}{})",
-        start.firmware,
-        start.iterations,
-        if loaded.truncated { ", torn tail discarded" } else { "" }
-    );
-    let seed = start.seed.to_string();
-    let iters = start.iterations.to_string();
-    let outcome = run_supervised_session(
-        &mut session,
-        syscall_descs,
-        dict,
-        &config,
-        start,
-        Some(resume),
-        Some(&mut journal),
-    )
-    .map_err(|e| e.to_string())?;
-    print_supervised(&outcome);
-    let meta = [("engine", "supervised"), ("seed", seed.as_str()), ("iterations", iters.as_str())];
-    write_fuzz_outputs(parsed, outcome.trace.as_ref(), &outcome.metrics_snapshot(), &meta)
 }
 
 #[cfg(unix)]

@@ -115,3 +115,29 @@ fn workers_flag_composes_with_journal_and_resume() {
     // uninterrupted one.
     assert_eq!(stats_line(&reference), stats_line(&resumed));
 }
+
+/// A resume must reproduce the killed run's syscall descriptions: without
+/// the original `--syscalls` it fails before its first iteration and names
+/// the mismatch; with it, the campaign ends like the uninterrupted run.
+#[test]
+fn resume_verifies_the_syscall_descriptions() {
+    let image = build_image("descs.evfw");
+    let image = image.to_str().unwrap();
+    let campaign = ["--iters", "150", "--seed", "5", "--syscalls", "4"];
+    let reference = run_ok(&[&["fuzz", image][..], &campaign].concat());
+
+    let journal = scratch("descs.evj");
+    let journal = journal.to_str().unwrap();
+    run_ok(
+        &[&["fuzz", image][..], &campaign, &["--journal", journal, "--kill-after", "60"]].concat(),
+    );
+
+    let output = embsan().args(["fuzz", "--resume", journal]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "a resume with other descriptions must fail");
+    assert!(stderr.contains("syscall descriptions hash mismatch"), "{stderr}");
+    assert!(stderr.contains("--syscalls"), "{stderr}");
+
+    let resumed = run_ok(&["fuzz", "--resume", journal, "--syscalls", "4"]);
+    assert_eq!(stats_line(&reference), stats_line(&resumed));
+}

@@ -266,30 +266,7 @@ impl Session {
     /// warmth) as telemetry in their own adapters.
     pub fn collect_metrics(&self, registry: &mut embsan_obs::MetricsRegistry) {
         use embsan_obs::MetricClass::Deterministic;
-        let cache = self.cache_stats();
-        registry.counter("translator", "translations", Deterministic, cache.translations);
-        registry.counter("translator", "hits", Deterministic, cache.hits);
-        registry.counter("translator", "reconfigures", Deterministic, cache.reconfigures);
-        registry.counter("translator", "generation_hits", Deterministic, cache.generation_hits);
-        registry.counter(
-            "translator",
-            "generation_evictions",
-            Deterministic,
-            cache.generation_evictions,
-        );
-        registry.counter("translator", "flushes", Deterministic, cache.flushes);
-        registry.counter(
-            "translator",
-            "chained_dispatches",
-            Deterministic,
-            cache.chained_dispatches,
-        );
-        registry.counter(
-            "translator",
-            "superblocks_formed",
-            Deterministic,
-            cache.superblocks_formed,
-        );
+        self.cache_stats().record_into(registry, Deterministic);
         registry.counter(
             "hooks",
             "checks_performed",
@@ -312,17 +289,7 @@ impl Session {
         );
         registry.counter("shadow", "shadow_clips", Deterministic, health.shadow_clips);
         registry.counter("shadow", "spec_drift", Deterministic, health.spec_drift);
-        let injection = self.machine.injection_stats();
-        registry.counter("injection", "ram_bit_flips", Deterministic, injection.ram_bit_flips);
-        registry.counter(
-            "injection",
-            "mmio_corruptions",
-            Deterministic,
-            injection.mmio_corruptions,
-        );
-        registry.counter("injection", "spurious_irqs", Deterministic, injection.spurious_irqs);
-        registry.counter("injection", "alloc_failures", Deterministic, injection.alloc_failures);
-        registry.counter("injection", "cpu_wedges", Deterministic, injection.cpu_wedges);
+        self.machine.injection_stats().record_into(registry, Deterministic);
         registry.counter("session", "programs_run", Deterministic, self.programs_run);
         registry.histogram("session", "program_insns", Deterministic, self.exec_insns.clone());
         registry.counter("session", "trace_dropped", Deterministic, self.tracer.dropped());

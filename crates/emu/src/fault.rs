@@ -22,6 +22,8 @@
 //! Plans can be built programmatically or parsed from a small line-based
 //! spec (see [`FaultPlan::parse`]).
 
+use embsan_obs::{MetricClass, MetricsRegistry};
+
 /// One kind of injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -276,6 +278,16 @@ impl InjectionStats {
             + self.spurious_irqs
             + self.alloc_failures
             + self.cpu_wedges
+    }
+
+    /// Copies every counter into `registry` under the `injection`
+    /// subsystem, all in `class`.
+    pub fn record_into(&self, registry: &mut MetricsRegistry, class: MetricClass) {
+        registry.counter("injection", "ram_bit_flips", class, self.ram_bit_flips);
+        registry.counter("injection", "mmio_corruptions", class, self.mmio_corruptions);
+        registry.counter("injection", "spurious_irqs", class, self.spurious_irqs);
+        registry.counter("injection", "alloc_failures", class, self.alloc_failures);
+        registry.counter("injection", "cpu_wedges", class, self.cpu_wedges);
     }
 }
 

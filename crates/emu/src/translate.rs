@@ -13,6 +13,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use embsan_obs::{MetricClass, MetricsRegistry};
+
 use crate::bus::Bus;
 use crate::error::Fault;
 use crate::hook::HookConfig;
@@ -185,6 +187,19 @@ impl CacheStats {
             chained_dispatches: self.chained_dispatches + other.chained_dispatches,
             superblocks_formed: self.superblocks_formed + other.superblocks_formed,
         }
+    }
+
+    /// Copies every counter into `registry` under the `translator`
+    /// subsystem, all in `class`.
+    pub fn record_into(&self, registry: &mut MetricsRegistry, class: MetricClass) {
+        registry.counter("translator", "translations", class, self.translations);
+        registry.counter("translator", "hits", class, self.hits);
+        registry.counter("translator", "reconfigures", class, self.reconfigures);
+        registry.counter("translator", "generation_hits", class, self.generation_hits);
+        registry.counter("translator", "generation_evictions", class, self.generation_evictions);
+        registry.counter("translator", "flushes", class, self.flushes);
+        registry.counter("translator", "chained_dispatches", class, self.chained_dispatches);
+        registry.counter("translator", "superblocks_formed", class, self.superblocks_formed);
     }
 }
 

@@ -7,6 +7,7 @@
 //! its assigned strategy, and the triaged findings are attributed back to
 //! the seeded Table-4 bugs via their gated syscalls.
 
+use embsan_asm::image::FirmwareImage;
 use embsan_core::probe::{probe, ProbeArtifacts, ProbeError, ProbeMode};
 use embsan_core::report::BugClass;
 use embsan_core::session::{Session, SessionError};
@@ -20,7 +21,7 @@ use crate::dictionary::Dictionary;
 use crate::fuzzer::{Fuzzer, FuzzerConfig, FuzzerStats, Strategy};
 
 /// Campaign configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Fuzzing iterations (the scaled-down "7 days").
     pub iterations: u64,
@@ -110,14 +111,8 @@ impl CampaignError {
     /// Attaches the firmware name (kept if already set — the innermost
     /// attribution wins).
     #[must_use]
-    pub fn with_firmware(self, firmware: &str) -> CampaignError {
-        self.with_firmware_string(firmware.to_string())
-    }
-
-    /// [`CampaignError::with_firmware`] for owned names.
-    #[must_use]
-    pub fn with_firmware_string(mut self, firmware: String) -> CampaignError {
-        self.firmware.get_or_insert(firmware);
+    pub fn with_firmware(mut self, firmware: &str) -> CampaignError {
+        self.firmware.get_or_insert_with(|| firmware.to_string());
         self
     }
 
@@ -224,6 +219,39 @@ pub fn probe_mode_for(spec: &FirmwareSpec) -> ProbeMode {
     }
 }
 
+/// The fuzzing strategy of a firmware's Table-1 row.
+pub fn paper_strategy(spec: &FirmwareSpec) -> Strategy {
+    match spec.fuzzer {
+        PaperFuzzer::Syzkaller => Strategy::Syz,
+        PaperFuzzer::Tardis => Strategy::Tardis,
+    }
+}
+
+/// Boots a ready session: the one recipe behind every campaign, whether
+/// its image comes from a [`FirmwareSpec`] or from a file. Attaches the
+/// reference sanitizers to `cpus` vCPUs, arms `config.model_free` and
+/// runs to the ready point within `config.ready_budget`.
+///
+/// # Errors
+///
+/// Propagates distill and session errors.
+pub fn boot_session(
+    image: &FirmwareImage,
+    artifacts: &ProbeArtifacts,
+    cpus: usize,
+    config: &CampaignConfig,
+) -> Result<Session, CampaignError> {
+    let sanitizers = embsan_core::reference_specs()?;
+    let mut session = Session::with_cpus(image, &sanitizers, artifacts, cpus)?;
+    if let Some((base, size)) = config.model_free {
+        // Before run_to_ready, so the boot-time refinement state is part of
+        // the reset snapshot and every iteration replays it identically.
+        session.enable_model_free(base, size, config.mmio_withheld);
+    }
+    session.run_to_ready(config.ready_budget)?;
+    Ok(session)
+}
+
 /// Prepares a ready session for a firmware in its Table-1 configuration.
 ///
 /// # Errors
@@ -234,18 +262,10 @@ pub fn prepare_session(
     config: &CampaignConfig,
 ) -> Result<(Session, Dictionary), CampaignError> {
     let image = spec.build(spec.default_san_mode())?;
-    let artifacts: ProbeArtifacts = probe(&image, probe_mode_for(spec), None)?;
-    let sanitizers = embsan_core::reference_specs()?;
+    let artifacts = probe(&image, probe_mode_for(spec), None)?;
     let cpus = if spec.needs_smp() { 2 } else { 1 };
-    let mut session = Session::with_cpus(&image, &sanitizers, &artifacts, cpus)?;
-    if let Some((base, size)) = config.model_free {
-        // Before run_to_ready, so the boot-time refinement state is part of
-        // the reset snapshot and every iteration replays it identically.
-        session.enable_model_free(base, size, config.mmio_withheld);
-    }
-    session.run_to_ready(config.ready_budget)?;
-    let dict = Dictionary::extract(&image);
-    Ok((session, dict))
+    let session = boot_session(&image, &artifacts, cpus, config)?;
+    Ok((session, Dictionary::extract(&image)))
 }
 
 /// Runs the campaign for one firmware.
@@ -259,11 +279,7 @@ pub fn run_campaign(
 ) -> Result<CampaignResult, CampaignError> {
     let (mut session, dict) =
         prepare_session(spec, config).map_err(|e| e.with_firmware(spec.name))?;
-    let strategy = match spec.fuzzer {
-        PaperFuzzer::Syzkaller => Strategy::Syz,
-        PaperFuzzer::Tardis => Strategy::Tardis,
-    };
-    let mut fuzzer_config = FuzzerConfig::new(strategy, config.seed);
+    let mut fuzzer_config = FuzzerConfig::new(paper_strategy(spec), config.seed);
     fuzzer_config.program_budget = config.program_budget;
     let descs = descriptions_for(spec);
     let mut fuzzer = Fuzzer::new(&mut session, descs, dict, fuzzer_config);

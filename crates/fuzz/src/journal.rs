@@ -10,7 +10,7 @@
 //! carries the *complete* mutable fuzzer state ([`FuzzerState`]) and the
 //! supervisor's own bookkeeping ([`SupervisorState`]).
 //!
-//! Wire format: an 8-byte magic (`EMBSANJ1`), then records framed as
+//! Wire format: an 8-byte magic ([`MAGIC`]), then records framed as
 //! `[tag: u8][len: u32 LE][payload: len bytes]`. Payload encodings are
 //! hand-rolled little-endian (no serialization dependency) and versioned
 //! by the magic.
@@ -22,11 +22,14 @@ use std::path::{Path, PathBuf};
 use embsan_core::report::{BugClass, ChunkInfo, RaceOther, Report};
 use embsan_guestos::executor::ExecProgram;
 
+use crate::campaign::CampaignConfig;
 use crate::fuzzer::{Finding, FuzzerState, Strategy};
 
 /// Journal file magic; bump the trailing digit on format changes.
-/// (`2`: `StartInfo` gained the model-free MMIO configuration.)
-pub const MAGIC: &[u8; 8] = b"EMBSANJ2";
+/// (`2`: `StartInfo` gained the model-free MMIO configuration. `3`:
+/// `StartInfo` gained the syscall-descriptions hash, so a resume under
+/// different descriptions fails instead of silently diverging.)
+pub const MAGIC: &[u8; 8] = b"EMBSANJ3";
 
 /// Journal failures.
 #[derive(Debug)]
@@ -43,6 +46,16 @@ pub enum JournalError {
     },
     /// The journal has no checkpoint (or no start record) to resume from.
     NotResumable(String),
+    /// A resumed run differs from the journaled campaign in an identity
+    /// hash ([`StartInfo::base_hash`] or [`StartInfo::descs_hash`]).
+    Mismatch {
+        /// What the hash covers.
+        what: &'static str,
+        /// The journaled hash.
+        journal: u64,
+        /// The resumed run's hash.
+        live: u64,
+    },
 }
 
 impl std::fmt::Display for JournalError {
@@ -53,6 +66,11 @@ impl std::fmt::Display for JournalError {
                 write!(f, "journal corrupt at byte {offset}: {message}")
             }
             JournalError::NotResumable(msg) => write!(f, "journal not resumable: {msg}"),
+            JournalError::Mismatch { what, journal, live } => write!(
+                f,
+                "journal not resumable: {what} hash mismatch: journal has {journal:#018x}, \
+                 resumed run has {live:#018x}"
+            ),
         }
     }
 }
@@ -172,12 +190,55 @@ pub struct StartInfo {
     /// silent firmware/toolchain drift between kill and resume must be
     /// caught here rather than by replay divergence.
     pub base_hash: u64,
+    /// Hash of the syscall descriptions the campaign generates programs
+    /// from, stamped and verified like `base_hash` (`0` = unstamped): a
+    /// resume with other descriptions would replay different programs.
+    pub descs_hash: u64,
     /// Model-free MMIO region as `(base, size)`, `None` when the platform
     /// model answers all MMIO. Part of campaign identity: a resume must
     /// rebuild the session with the same region or replay diverges.
     pub model_free: Option<(u32, u32)>,
     /// Whether the platform device window was withheld from the guest.
     pub mmio_withheld: bool,
+}
+
+impl StartInfo {
+    /// The record a fresh campaign journals: its parameters and checkpoint
+    /// cadence, with both identity hashes left for the supervised loop to
+    /// stamp from the booted session.
+    pub fn new(
+        firmware: String,
+        strategy: Strategy,
+        campaign: &CampaignConfig,
+        checkpoint_interval: u64,
+    ) -> StartInfo {
+        StartInfo {
+            firmware,
+            strategy,
+            seed: campaign.seed,
+            iterations: campaign.iterations,
+            ready_budget: campaign.ready_budget,
+            program_budget: campaign.program_budget,
+            checkpoint_interval,
+            base_hash: 0,
+            descs_hash: 0,
+            model_free: campaign.model_free,
+            mmio_withheld: campaign.mmio_withheld,
+        }
+    }
+
+    /// The campaign parameters this record fixes (the inverse of
+    /// [`StartInfo::new`]).
+    pub fn campaign(&self) -> CampaignConfig {
+        CampaignConfig {
+            iterations: self.iterations,
+            seed: self.seed,
+            ready_budget: self.ready_budget,
+            program_budget: self.program_budget,
+            model_free: self.model_free,
+            mmio_withheld: self.mmio_withheld,
+        }
+    }
 }
 
 /// Supervisor bookkeeping that must survive kill/resume (it shapes future
@@ -572,6 +633,7 @@ impl Record {
                 enc.u64(start.program_budget);
                 enc.u64(start.checkpoint_interval);
                 enc.u64(start.base_hash);
+                enc.u64(start.descs_hash);
                 match start.model_free {
                     None => enc.u8(0),
                     Some((base, size)) => {
@@ -612,6 +674,7 @@ impl Record {
                 program_budget: dec.u64()?,
                 checkpoint_interval: dec.u64()?,
                 base_hash: dec.u64()?,
+                descs_hash: dec.u64()?,
                 model_free: if dec.u8()? != 0 { Some((dec.u32()?, dec.u32()?)) } else { None },
                 mmio_withheld: dec.u8()? != 0,
             }),
@@ -866,6 +929,41 @@ mod tests {
         Record::decode(record.tag(), &payload).unwrap()
     }
 
+    /// `StartInfo::new` and `StartInfo::campaign` are inverses: a fresh
+    /// campaign's parameters survive the journal, down to the cadence.
+    #[test]
+    fn start_info_converts_back_to_its_config() {
+        use crate::supervisor::SupervisorConfig;
+        let config = SupervisorConfig {
+            campaign: CampaignConfig {
+                iterations: 777,
+                seed: 0xABCD,
+                ready_budget: 1_234_567,
+                program_budget: 89_012,
+                model_free: Some((0xF000_0000, 0x2000)),
+                mmio_withheld: true,
+            },
+            checkpoint_interval: 33,
+            ..SupervisorConfig::default()
+        };
+        let defaults = SupervisorConfig::default();
+        let (c, d) = (&config.campaign, &defaults.campaign);
+        assert!(c.iterations != d.iterations && c.seed != d.seed);
+        assert!(c.ready_budget != d.ready_budget && c.program_budget != d.program_budget);
+        assert!(c.model_free != d.model_free && c.mmio_withheld != d.mmio_withheld);
+        assert_ne!(config.checkpoint_interval, defaults.checkpoint_interval);
+
+        let start = StartInfo::new(
+            "fw".to_string(),
+            Strategy::Syz,
+            &config.campaign,
+            config.checkpoint_interval,
+        );
+        assert_eq!(start.campaign(), config.campaign);
+        assert_eq!(start.checkpoint_interval, config.checkpoint_interval);
+        assert_eq!((start.base_hash, start.descs_hash), (0, 0), "stamped by the supervisor");
+    }
+
     #[test]
     fn records_roundtrip() {
         let start = Record::Start(StartInfo {
@@ -877,6 +975,7 @@ mod tests {
             program_budget: 3_000_000,
             checkpoint_interval: 500,
             base_hash: 0xDEAD_BEEF_0BAD_F00D,
+            descs_hash: 0x0123_4567_89AB_CDEF,
             model_free: Some((0xF000_0000, 0x1000)),
             mmio_withheld: true,
         });
@@ -912,6 +1011,7 @@ mod tests {
             program_budget: 1,
             checkpoint_interval: 10,
             base_hash: 0,
+            descs_hash: 0,
             model_free: None,
             mmio_withheld: false,
         });

@@ -59,6 +59,6 @@ pub use parallel::{
 };
 pub use rng::SplitMix64;
 pub use supervisor::{
-    program_hash, resume_supervised, run_supervised, run_supervised_session, run_supervised_span,
-    ResumePoint, SupervisedOutcome, SupervisedResult, SupervisorConfig,
+    program_hash, resume_supervised, run_supervised, run_supervised_span, ResumePoint,
+    SupervisedOutcome, SupervisedResult, SupervisedRun, SupervisorConfig,
 };

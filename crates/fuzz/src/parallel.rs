@@ -48,7 +48,6 @@ use embsan_core::report::{BugClass, Report};
 use embsan_core::session::{BaseImage, Session, SessionError};
 use embsan_emu::CacheStats;
 use embsan_guestos::executor::{sys, ExecProgram};
-use embsan_guestos::firmware::Fuzzer as PaperFuzzer;
 use embsan_guestos::FirmwareSpec;
 use embsan_obs::{
     Event, EventKind, MergedTrace, MetricClass, MetricsRegistry, MetricsSnapshot, TraceConfig,
@@ -56,7 +55,8 @@ use embsan_obs::{
 };
 
 use crate::campaign::{
-    attribute_findings, prepare_session, CampaignConfig, CampaignError, CampaignResult,
+    attribute_findings, paper_strategy, prepare_session, CampaignConfig, CampaignError,
+    CampaignResult,
 };
 use crate::corpus::UNSCORED;
 use crate::cover::{CoverageMap, MAP_SIZE};
@@ -175,29 +175,7 @@ impl ParallelStats {
             registry.gauge("directed", "frontier_min_milli", Deterministic, i64::from(min));
             registry.gauge("directed", "frontier_mean_milli", Deterministic, i64::from(mean));
         }
-        registry.counter("translator", "translations", Telemetry, self.cache.translations);
-        registry.counter("translator", "hits", Telemetry, self.cache.hits);
-        registry.counter("translator", "reconfigures", Telemetry, self.cache.reconfigures);
-        registry.counter("translator", "generation_hits", Telemetry, self.cache.generation_hits);
-        registry.counter(
-            "translator",
-            "generation_evictions",
-            Telemetry,
-            self.cache.generation_evictions,
-        );
-        registry.counter("translator", "flushes", Telemetry, self.cache.flushes);
-        registry.counter(
-            "translator",
-            "chained_dispatches",
-            Telemetry,
-            self.cache.chained_dispatches,
-        );
-        registry.counter(
-            "translator",
-            "superblocks_formed",
-            Telemetry,
-            self.cache.superblocks_formed,
-        );
+        self.cache.record_into(registry, Telemetry);
         registry.counter("hooks", "slow_path_checks", Telemetry, self.slow_path_checks);
         // Memory accounting is telemetry: overlay peaks depend on which
         // iterations a worker happened to claim.
@@ -790,15 +768,11 @@ pub fn run_parallel_campaign_directed(
         .map_err(|e| CampaignError::from(e).with_firmware(spec.name))?;
     let dict = Dictionary::extract(&image);
     let descs = descriptions_for(spec);
-    let strategy = match spec.fuzzer {
-        PaperFuzzer::Syzkaller => Strategy::Syz,
-        PaperFuzzer::Tardis => Strategy::Tardis,
-    };
     let outcome = run_parallel_directed(
         |_worker| prepare_session(spec, &config.campaign).map(|(session, _)| session),
         &descs,
         &dict,
-        strategy,
+        paper_strategy(spec),
         direction,
         config,
     )

@@ -33,7 +33,7 @@
 //!
 //! [`Machine::classify_hang`]: embsan_emu::machine::Machine::classify_hang
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use embsan_emu::fault::{FaultPlan, HangClass, InjectionStats};
 use embsan_emu::machine::RunExit;
@@ -44,24 +44,25 @@ use embsan_obs::{
 };
 
 use crate::campaign::{
-    attribute_findings, prepare_session, CampaignConfig, CampaignError, CampaignResult,
+    attribute_findings, paper_strategy, prepare_session, CampaignConfig, CampaignError,
+    CampaignResult,
 };
 use crate::descs::{descriptions_for, SyscallDesc};
 use crate::dictionary::Dictionary;
-use crate::fuzzer::{Finding, Fuzzer, FuzzerConfig, FuzzerState, FuzzerStats, Strategy};
+use crate::fuzzer::{Finding, Fuzzer, FuzzerConfig, FuzzerState, FuzzerStats};
 use crate::journal::{
     Checkpoint, Journal, JournalError, LoadedJournal, Record, StartInfo, SupervisorHealth,
     SupervisorState,
 };
 use embsan_core::session::Session;
-use embsan_guestos::firmware::Fuzzer as PaperFuzzer;
 
 /// Supervisor policy knobs.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// The underlying campaign configuration (iterations, seed, budgets).
+    /// The campaign [`run_supervised`] journals (iterations, seed,
+    /// budgets). Every other entry point takes it from a [`StartInfo`].
     pub campaign: CampaignConfig,
-    /// Checkpoint cadence in iterations.
+    /// Checkpoint cadence in iterations [`run_supervised`] journals.
     pub checkpoint_interval: u64,
     /// Retries (after snapshot-restore recovery) before a wedging input is
     /// quarantined.
@@ -150,76 +151,39 @@ pub struct SupervisedResult {
     pub journal_retries: u64,
 }
 
-/// Copies a supervised run's counters into `registry` under the `fuzzer`,
-/// `supervisor` and `injection` subsystems. The supervised path is
-/// single-threaded and seed-deterministic, so every entry is
-/// [`MetricClass::Deterministic`].
-fn supervised_metrics(
-    stats: &FuzzerStats,
-    health: &SupervisorHealth,
-    injection: &InjectionStats,
-    journal_retries: u64,
-    registry: &mut MetricsRegistry,
-) {
-    use MetricClass::Deterministic;
-    // Journal-IO retry counts reflect host filesystem behaviour, not guest
-    // execution, so they ride in the Telemetry class and never appear in
-    // `to_json(false)` deterministic artifacts.
-    registry.counter("supervisor", "journal_io_retries", MetricClass::Telemetry, journal_retries);
-    registry.counter("fuzzer", "execs", Deterministic, stats.execs);
-    registry.gauge("fuzzer", "corpus", Deterministic, stats.corpus as i64);
-    registry.gauge("fuzzer", "coverage", Deterministic, stats.coverage as i64);
-    registry.gauge("fuzzer", "findings", Deterministic, stats.findings as i64);
-    registry.counter("supervisor", "wedges", Deterministic, health.wedges);
-    registry.counter("supervisor", "recoveries", Deterministic, health.recoveries);
-    registry.counter("supervisor", "quarantined", Deterministic, health.quarantined);
-    registry.counter("supervisor", "transient_retries", Deterministic, health.transient_retries);
-    registry.counter("supervisor", "wfi_hangs", Deterministic, health.wfi_hangs);
-    registry.counter("supervisor", "checkpoints", Deterministic, health.checkpoints);
-    registry.counter("injection", "ram_bit_flips", Deterministic, injection.ram_bit_flips);
-    registry.counter("injection", "mmio_corruptions", Deterministic, injection.mmio_corruptions);
-    registry.counter("injection", "spurious_irqs", Deterministic, injection.spurious_irqs);
-    registry.counter("injection", "alloc_failures", Deterministic, injection.alloc_failures);
-    registry.counter("injection", "cpu_wedges", Deterministic, injection.cpu_wedges);
-}
-
 impl SupervisedOutcome {
-    /// Copies the run's counters into `registry` (`fuzzer`, `supervisor`
-    /// and `injection` subsystems; every entry deterministic).
+    /// Copies the run's counters into `registry` under the `fuzzer`,
+    /// `supervisor` and `injection` subsystems. The supervised path is
+    /// single-threaded and seed-deterministic, so every entry but the
+    /// journal-IO retry count is [`MetricClass::Deterministic`].
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
-        supervised_metrics(
-            &self.stats,
-            &self.health,
-            &self.injection,
-            self.journal_retries,
-            registry,
+        use MetricClass::Deterministic;
+        let (stats, health) = (&self.stats, &self.health);
+        // Journal-IO retry counts reflect host filesystem behaviour, not
+        // guest execution, so they ride in the Telemetry class and never
+        // appear in `to_json(false)` deterministic artifacts.
+        let retries = self.journal_retries;
+        registry.counter("supervisor", "journal_io_retries", MetricClass::Telemetry, retries);
+        registry.counter("fuzzer", "execs", Deterministic, stats.execs);
+        registry.gauge("fuzzer", "corpus", Deterministic, stats.corpus as i64);
+        registry.gauge("fuzzer", "coverage", Deterministic, stats.coverage as i64);
+        registry.gauge("fuzzer", "findings", Deterministic, stats.findings as i64);
+        registry.counter("supervisor", "wedges", Deterministic, health.wedges);
+        registry.counter("supervisor", "recoveries", Deterministic, health.recoveries);
+        registry.counter("supervisor", "quarantined", Deterministic, health.quarantined);
+        registry.counter(
+            "supervisor",
+            "transient_retries",
+            Deterministic,
+            health.transient_retries,
         );
+        registry.counter("supervisor", "wfi_hangs", Deterministic, health.wfi_hangs);
+        registry.counter("supervisor", "checkpoints", Deterministic, health.checkpoints);
+        self.injection.record_into(registry, Deterministic);
     }
 
     /// A metrics snapshot of this outcome (see
     /// [`SupervisedOutcome::collect_metrics`]).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut registry = MetricsRegistry::new();
-        self.collect_metrics(&mut registry);
-        registry.snapshot()
-    }
-}
-
-impl SupervisedResult {
-    /// Copies the run's counters into `registry` (`fuzzer`, `supervisor`
-    /// and `injection` subsystems; every entry deterministic).
-    pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
-        supervised_metrics(
-            &self.result.stats,
-            &self.health,
-            &self.injection,
-            self.journal_retries,
-            registry,
-        );
-    }
-
-    /// A metrics snapshot of this result (see
-    /// [`SupervisedResult::collect_metrics`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut registry = MetricsRegistry::new();
         self.collect_metrics(&mut registry);
@@ -233,8 +197,9 @@ impl SupervisedResult {
 ///
 /// Built either from a journal ([`ResumePoint::from_journal`]) after a
 /// kill, or returned in-memory by [`run_supervised_span`] at a slice
-/// boundary so the next slice continues without touching disk.
-#[derive(Debug, Clone)]
+/// boundary so the next slice continues without touching disk. The
+/// default point restarts from iteration 0 (a journal with no checkpoint).
+#[derive(Debug, Clone, Default)]
 pub struct ResumePoint {
     /// Iterations completed before this point.
     pub iteration: u64,
@@ -254,17 +219,6 @@ pub struct ResumePoint {
 }
 
 impl ResumePoint {
-    /// A fresh-start point that still carries an existing journal's
-    /// already-written records (no checkpoint yet).
-    fn fresh() -> ResumePoint {
-        ResumePoint {
-            iteration: 0,
-            state: None,
-            journaled_findings: Vec::new(),
-            journaled_corpus: Vec::new(),
-        }
-    }
-
     /// Builds the resume point from a loaded journal: the newest
     /// checkpoint (if any) plus the dedupe multisets of records the killed
     /// process journaled after it — replay will regenerate exactly those,
@@ -272,17 +226,11 @@ impl ResumePoint {
     /// journal's record stream.
     pub fn from_journal(loaded: &LoadedJournal) -> ResumePoint {
         let cp_index = loaded.records.iter().rposition(|r| matches!(r, Record::Checkpoint(_)));
-        let mut point = match cp_index {
-            Some(index) => match &loaded.records[index] {
-                Record::Checkpoint(cp) => ResumePoint {
-                    iteration: cp.iteration,
-                    state: Some((cp.fuzzer.clone(), cp.supervisor.clone())),
-                    ..ResumePoint::fresh()
-                },
-                _ => unreachable!("rposition matched a checkpoint"),
-            },
-            None => ResumePoint::fresh(),
-        };
+        let mut point = ResumePoint::default();
+        if let Some(Record::Checkpoint(cp)) = cp_index.map(|index| &loaded.records[index]) {
+            point.iteration = cp.iteration;
+            point.state = Some((cp.fuzzer.clone(), cp.supervisor.clone()));
+        }
         let tail = &loaded.records[cp_index.map_or(0, |i| i + 1)..];
         for record in tail {
             match record {
@@ -310,37 +258,38 @@ fn consume<T: PartialEq>(set: &mut Vec<T>, key: &T) -> bool {
     }
 }
 
+/// FNV-1a hash of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// FNV-1a hash of a program's wire encoding (quarantine identity).
 pub fn program_hash(program: &ExecProgram) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in program.encode() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(&program.encode())
 }
 
-fn strategy_for(spec: &FirmwareSpec) -> Strategy {
-    match spec.fuzzer {
-        PaperFuzzer::Syzkaller => Strategy::Syz,
-        PaperFuzzer::Tardis => Strategy::Tardis,
+/// FNV-1a hash of a syscall-description set ([`StartInfo::descs_hash`]).
+fn descriptions_hash(descs: &[SyscallDesc]) -> u64 {
+    let mut bytes = Vec::new();
+    for desc in descs {
+        bytes.push(desc.nr);
+        bytes.push(desc.args.len() as u8);
+        bytes.extend(desc.args.iter().map(|&kind| kind as u8));
     }
+    fnv1a(&bytes)
 }
 
-fn start_info(spec: &FirmwareSpec, config: &SupervisorConfig) -> StartInfo {
-    StartInfo {
-        firmware: spec.name.to_string(),
-        strategy: strategy_for(spec),
-        seed: config.campaign.seed,
-        iterations: config.campaign.iterations,
-        ready_budget: config.campaign.ready_budget,
-        program_budget: config.campaign.program_budget,
-        checkpoint_interval: config.checkpoint_interval,
-        // Stamped by `run_supervised_span` once the session exists: the
-        // hash is a property of the booted ready state, not the config.
-        base_hash: 0,
-        model_free: config.campaign.model_free,
-        mmio_withheld: config.campaign.mmio_withheld,
+/// Stamps a fresh campaign's identity hash (`journaled == 0`) or verifies
+/// that a resumed run reproduces the journaled one.
+fn stamp(journaled: &mut u64, live: u64, what: &'static str) -> Result<(), JournalError> {
+    if *journaled == 0 {
+        *journaled = live;
+    } else if *journaled != live {
+        return Err(JournalError::Mismatch { what, journal: *journaled, live });
     }
+    Ok(())
 }
 
 /// Runs a supervised campaign for one firmware, optionally journaled.
@@ -354,32 +303,20 @@ pub fn run_supervised(
     config: &SupervisorConfig,
     journal_path: Option<&Path>,
 ) -> Result<SupervisedResult, CampaignError> {
-    let start = start_info(spec, config);
-    let (mut session, dict) =
-        prepare_session(spec, &config.campaign).map_err(|e| e.with_firmware(spec.name))?;
-    let mut journal = match journal_path {
-        Some(path) => {
-            Some(Journal::create(path).map_err(|e| campaign_journal_error(e, spec.name))?)
-        }
-        None => None,
-    };
-    let outcome = run_supervised_session(
-        &mut session,
-        descriptions_for(spec),
-        dict,
-        config,
-        start,
-        None,
-        journal.as_mut(),
-    )
-    .map_err(|e| e.with_firmware(spec.name))?;
-    Ok(finish(spec, outcome))
+    let start = StartInfo::new(
+        spec.name.to_string(),
+        paper_strategy(spec),
+        &config.campaign,
+        config.checkpoint_interval,
+    );
+    supervise_firmware(spec, SupervisedRun::fresh(start, journal_path), config)
 }
 
 /// Resumes a supervised campaign from its journal. The journal alone
-/// identifies the firmware, configuration and newest checkpoint; the
-/// supervisor re-prepares the session deterministically, imports the
-/// checkpointed state, and continues — appending to the same journal.
+/// identifies the firmware, campaign and newest checkpoint (`policy`'s
+/// `campaign` and `checkpoint_interval` are not read); the supervisor
+/// re-prepares the session deterministically, imports the checkpointed
+/// state, and continues — appending to the same journal.
 ///
 /// # Errors
 ///
@@ -387,101 +324,121 @@ pub fn run_supervised(
 /// unreadable, corrupt, already ended, or names an unknown firmware.
 pub fn resume_supervised(
     journal_path: &Path,
-    overrides: &SupervisorConfig,
+    policy: &SupervisorConfig,
 ) -> Result<SupervisedResult, CampaignError> {
-    let loaded = Journal::load(journal_path).map_err(CampaignError::from)?;
-    let start = loaded.start()?.clone();
-    if loaded.ended() {
-        return Err(CampaignError::from(JournalError::NotResumable(
-            "campaign already completed".to_string(),
-        )));
-    }
-    let spec = firmware_by_name(&start.firmware).ok_or_else(|| {
-        CampaignError::from(JournalError::NotResumable(format!(
-            "unknown firmware `{}`",
-            start.firmware
-        )))
-        .with_firmware_string(start.firmware.clone())
+    let run = SupervisedRun::resume(journal_path)?;
+    let spec = firmware_by_name(&run.start.firmware).ok_or_else(|| {
+        let unknown = format!("unknown firmware `{}`", run.start.firmware);
+        CampaignError::from(JournalError::NotResumable(unknown)).with_firmware(&run.start.firmware)
     })?;
-    let config = SupervisorConfig {
-        campaign: CampaignConfig {
-            iterations: start.iterations,
-            seed: start.seed,
-            ready_budget: start.ready_budget,
-            program_budget: start.program_budget,
-            model_free: start.model_free,
-            mmio_withheld: start.mmio_withheld,
-        },
-        checkpoint_interval: start.checkpoint_interval,
-        kill_after: overrides.kill_after,
-        fault_plan: overrides.fault_plan.clone(),
-        ..overrides.clone()
-    };
-    // Even without a checkpoint, a resume point carries the dedupe
-    // multisets of already-journaled records (and suppresses the duplicate
-    // `Start` a fresh restart would otherwise append).
-    let resume = Some(ResumePoint::from_journal(&loaded));
-    let (mut session, dict) =
-        prepare_session(spec, &config.campaign).map_err(|e| e.with_firmware(spec.name))?;
-    let mut journal = Journal::reopen(journal_path, loaded.valid_len)
-        .map_err(|e| campaign_journal_error(e, spec.name))?;
-    let outcome = run_supervised_session(
-        &mut session,
-        descriptions_for(spec),
-        dict,
-        &config,
-        start,
-        resume,
-        Some(&mut journal),
-    )
-    .map_err(|e| e.with_firmware(spec.name))?;
-    Ok(finish(spec, outcome))
+    supervise_firmware(spec, run, policy)
 }
 
-fn finish(spec: &FirmwareSpec, outcome: SupervisedOutcome) -> SupervisedResult {
+/// The one body behind [`run_supervised`] and [`resume_supervised`].
+fn supervise_firmware(
+    spec: &FirmwareSpec,
+    run: SupervisedRun,
+    policy: &SupervisorConfig,
+) -> Result<SupervisedResult, CampaignError> {
+    let (mut session, dict) =
+        prepare_session(spec, &run.start.campaign()).map_err(|e| e.with_firmware(spec.name))?;
+    let outcome = run
+        .run(&mut session, descriptions_for(spec), dict, policy)
+        .map_err(|e| e.with_firmware(spec.name))?;
     let found = attribute_findings(spec, &outcome.findings);
-    SupervisedResult {
+    Ok(SupervisedResult {
         result: CampaignResult { firmware: spec.name, found, stats: outcome.stats },
         health: outcome.health,
         injection: outcome.injection,
         completed: outcome.completed,
         trace: outcome.trace,
         journal_retries: outcome.journal_retries,
+    })
+}
+
+/// A supervised campaign before its session boots: its journaled identity
+/// and, for a killed campaign, where it continues. Fresh and resumed runs,
+/// library and CLI alike, differ only in how this is built; each then
+/// boots a session from [`StartInfo::campaign`] and calls
+/// [`SupervisedRun::run`].
+#[derive(Debug)]
+pub struct SupervisedRun {
+    /// The campaign identity: the caller's, or the journal's `Start`.
+    pub start: StartInfo,
+    /// Where a resumed run continues; `None` for a fresh one.
+    pub resume: Option<ResumePoint>,
+    /// Whether loading the journal discarded a torn tail.
+    pub truncated: bool,
+    /// The journal and, when resuming, the intact length to reopen it at
+    /// (a fresh run creates it).
+    journal: Option<(PathBuf, Option<u64>)>,
+}
+
+impl SupervisedRun {
+    /// A fresh campaign, journaled to a new file when `journal` is given.
+    pub fn fresh(start: StartInfo, journal: Option<&Path>) -> SupervisedRun {
+        let journal = journal.map(|path| (path.to_path_buf(), None));
+        SupervisedRun { start, resume: None, truncated: false, journal }
+    }
+
+    /// A killed campaign, continued from its journal.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError`] with a [`JournalError`] kind when the journal is
+    /// unreadable, corrupt, has no `Start` record or already ended.
+    pub fn resume(journal: &Path) -> Result<SupervisedRun, CampaignError> {
+        let loaded = Journal::load(journal)?;
+        let start = loaded.start()?.clone();
+        if loaded.ended() {
+            return Err(CampaignError::from(JournalError::NotResumable(
+                "campaign already completed".to_string(),
+            )));
+        }
+        Ok(SupervisedRun {
+            start,
+            // Even without a checkpoint, a resume point carries the dedupe
+            // multisets of already-journaled records (and suppresses the
+            // duplicate `Start` a fresh restart would otherwise append).
+            resume: Some(ResumePoint::from_journal(&loaded)),
+            truncated: loaded.truncated,
+            journal: Some((journal.to_path_buf(), Some(loaded.valid_len))),
+        })
+    }
+
+    /// Opens the journal and runs the supervised loop on `session`, which
+    /// the caller booted from [`StartInfo::campaign`]; `policy` supplies
+    /// everything else (see [`run_supervised_span`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError`] carrying iteration and program context.
+    pub fn run(
+        self,
+        session: &mut Session,
+        descs: Vec<SyscallDesc>,
+        dict: Dictionary,
+        policy: &SupervisorConfig,
+    ) -> Result<SupervisedOutcome, CampaignError> {
+        let mut journal = match &self.journal {
+            None => None,
+            Some((path, None)) => Some(Journal::create(path)?),
+            Some((path, Some(len))) => Some(Journal::reopen(path, *len)?),
+        };
+        run_supervised_span(session, descs, dict, policy, self.start, self.resume, journal.as_mut())
+            .map(|(outcome, _)| outcome)
     }
 }
 
-fn campaign_journal_error(e: JournalError, firmware: &str) -> CampaignError {
-    CampaignError::from(e).with_firmware(firmware)
-}
-
-/// The session-generic supervised loop: works for both `FirmwareSpec`
-/// campaigns and CLI image-based fuzzing (the caller prepares the session
-/// and, on resume, supplies the loaded checkpoint).
-///
-/// # Errors
-///
-/// [`CampaignError`] carrying iteration and program context.
-pub fn run_supervised_session(
-    session: &mut Session,
-    descs: Vec<SyscallDesc>,
-    dict: Dictionary,
-    config: &SupervisorConfig,
-    start: StartInfo,
-    resume: Option<ResumePoint>,
-    journal: Option<&mut Journal>,
-) -> Result<SupervisedOutcome, CampaignError> {
-    run_supervised_span(session, descs, dict, config, start, resume, journal)
-        .map(|(outcome, _)| outcome)
-}
-
-/// The slice-capable supervised loop: identical to
-/// [`run_supervised_session`] but additionally returns an in-memory
-/// [`ResumePoint`] when the run stopped early (`kill_after`), so a
-/// scheduler running a campaign in fair-share slices can continue the next
-/// slice on the same warm session without a journal round-trip. The
-/// journal stays the source of truth — the continuation is a pure
-/// optimization and can always be dropped in favour of
-/// [`ResumePoint::from_journal`].
+/// The supervised loop on a booted session. Every campaign parameter,
+/// checkpoint cadence included, comes from `start`; `config` supplies only
+/// the supervisor policy (its `campaign` and `checkpoint_interval` are not
+/// read). Besides the outcome it returns an in-memory [`ResumePoint`] when
+/// the run stopped early (`kill_after`), so a scheduler running a campaign
+/// in fair-share slices can continue the next slice on the same warm
+/// session without a journal round-trip. The journal stays the source of
+/// truth — the continuation is a pure optimization and can always be
+/// dropped in favour of [`ResumePoint::from_journal`].
 ///
 /// # Errors
 ///
@@ -491,7 +448,7 @@ pub fn run_supervised_span(
     descs: Vec<SyscallDesc>,
     dict: Dictionary,
     config: &SupervisorConfig,
-    start: StartInfo,
+    mut start: StartInfo,
     resume: Option<ResumePoint>,
     mut journal: Option<&mut Journal>,
 ) -> Result<(SupervisedOutcome, Option<ResumePoint>), CampaignError> {
@@ -505,45 +462,34 @@ pub fn run_supervised_span(
         session.enable_tracing(TraceConfig::deterministic());
     }
     let mut trace = config.trace.then(MergedTrace::default);
-    // Stamp or verify the base-image identity before the fuzzer borrows
-    // the session. A fresh campaign records the live session's hash in its
-    // Start record; a resume insists the freshly prepared session reached
-    // a bit-identical ready state — the journal stores only this hash and
-    // the campaign's dirty state, never a RAM image, so firmware or
-    // toolchain drift between kill and resume must be caught here.
-    let mut start = start;
-    let live_hash = session.base_hash().unwrap_or(0);
-    if start.base_hash == 0 {
-        start.base_hash = live_hash;
-    } else if start.base_hash != live_hash {
-        return Err(CampaignError::from(JournalError::NotResumable(format!(
-            "base image hash mismatch: journal has {:#018x}, prepared session is {:#018x}",
-            start.base_hash, live_hash
-        ))));
-    }
+    // Stamp or verify the campaign identity before the fuzzer borrows the
+    // session. A fresh campaign records the live hashes in its Start
+    // record; a resume insists the freshly prepared session reached a
+    // bit-identical ready state and generates from the same descriptions —
+    // the journal stores only these hashes and the campaign's dirty state,
+    // never a RAM image, so drift between kill and resume must be caught
+    // here rather than by silent replay divergence.
+    stamp(&mut start.base_hash, session.base_hash().unwrap_or(0), "base image")?;
+    stamp(&mut start.descs_hash, descriptions_hash(&descs), "syscall descriptions")?;
     let mut fuzzer_config = FuzzerConfig::new(start.strategy, start.seed);
     fuzzer_config.program_budget = start.program_budget;
     let mut fuzzer = Fuzzer::new(session, descs, dict, fuzzer_config);
-    let (mut iteration, mut sup, mut journaled_findings, mut journaled_corpus) = match resume {
-        Some(point) => {
-            let ResumePoint { iteration, state, journaled_findings, journaled_corpus } = point;
-            match state {
-                Some((fuzzer_state, sup)) => {
-                    fuzzer.import_state(fuzzer_state);
-                    (iteration, sup, journaled_findings, journaled_corpus)
-                }
-                // Journal has a Start record but no checkpoint: restart
-                // from scratch, but don't re-append Start and still dedupe
-                // whatever the killed process managed to journal.
-                None => (0, SupervisorState::default(), journaled_findings, journaled_corpus),
-            }
+    // Only a fresh run appends Start. A resume point without state (a
+    // journal with a Start record but no checkpoint) restarts from
+    // scratch, still deduping whatever the killed process journaled.
+    if resume.is_none() {
+        if let Some(journal) = journal.as_deref_mut() {
+            journal.append(&Record::Start(start.clone()))?;
         }
-        None => {
-            if let Some(journal) = journal.as_deref_mut() {
-                journal.append(&Record::Start(start.clone()))?;
-            }
-            (0, SupervisorState::default(), Vec::new(), Vec::new())
+    }
+    let ResumePoint { mut iteration, state, mut journaled_findings, mut journaled_corpus } =
+        resume.unwrap_or_default();
+    let mut sup = match state {
+        Some((fuzzer_state, sup)) => {
+            fuzzer.import_state(fuzzer_state);
+            sup
         }
+        None => SupervisorState::default(),
     };
 
     let total = start.iterations;
@@ -583,8 +529,8 @@ pub fn run_supervised_span(
             trace.push_span(TraceSpan { iter: iteration, events });
         }
         iteration += 1;
-        if config.checkpoint_interval > 0
-            && iteration % config.checkpoint_interval == 0
+        if start.checkpoint_interval > 0
+            && iteration % start.checkpoint_interval == 0
             && iteration < total
         {
             if let Some(journal) = journal.as_deref_mut() {
@@ -603,7 +549,7 @@ pub fn run_supervised_span(
             // recover a completed job's full end state (stats, corpus,
             // findings) from the journal alone. Ended journals are never
             // resumed, so mid-campaign resume points are unaffected.
-            if config.checkpoint_interval > 0 {
+            if start.checkpoint_interval > 0 {
                 sup.health.checkpoints += 1;
                 journal.append(&Record::Checkpoint(Checkpoint {
                     iteration,

@@ -39,12 +39,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use embsan_core::session::{BaseImage, Session};
-use embsan_fuzz::campaign::prepare_session;
+use embsan_fuzz::campaign::{paper_strategy, prepare_session};
 use embsan_fuzz::{
     descriptions_for, retry_io, run_supervised_span, CampaignConfig, Dictionary, Journal,
-    ResumePoint, RetryPolicy, StartInfo, Strategy, SupervisorConfig,
+    ResumePoint, RetryPolicy, StartInfo, SupervisorConfig,
 };
-use embsan_guestos::firmware::Fuzzer as PaperFuzzer;
 use embsan_guestos::{firmware_by_name, FirmwareSpec};
 use embsan_obs::json::Value;
 use embsan_obs::{
@@ -802,13 +801,6 @@ fn run_turn(
     }
 }
 
-fn strategy_for(spec: &FirmwareSpec) -> Strategy {
-    match spec.fuzzer {
-        PaperFuzzer::Syzkaller => Strategy::Syz,
-        PaperFuzzer::Tardis => Strategy::Tardis,
-    }
-}
-
 /// Builds (or reuses) the job's context and runs one fair-share slice
 /// under the supervised span. Drills fire *after* the span returns, so
 /// the journal is always frame-consistent at the failure point.
@@ -821,22 +813,10 @@ fn turn_inner(
     ensure_ctx(ctxs, spec, config, bases)?;
     let ctx = ctxs.get_mut(&spec.id).expect("context just ensured");
     let total = ctx.start.iterations;
-    let cur = match &ctx.resume {
-        Some(point) if point.state.is_some() => point.iteration,
-        _ => 0,
-    };
+    let cur = ctx.resume.as_ref().map_or(0, |point| point.iteration);
     let slice_end = cur.saturating_add(config.slice).min(total);
     let drill = spec.drill.filter(|d| cur <= d.at() && d.at() < slice_end);
     let sup_config = SupervisorConfig {
-        campaign: CampaignConfig {
-            iterations: total,
-            seed: ctx.start.seed,
-            ready_budget: ctx.start.ready_budget,
-            program_budget: ctx.start.program_budget,
-            model_free: ctx.start.model_free,
-            mmio_withheld: ctx.start.mmio_withheld,
-        },
-        checkpoint_interval: config.slice,
         // kill_after == total never fires (the loop exits first), so the
         // final slice completes the campaign in the same call.
         kill_after: Some(drill.map_or(slice_end, |d| d.at())),
@@ -897,37 +877,29 @@ fn ensure_ctx(
     }
     let fw = firmware_by_name(&spec.firmware)
         .ok_or_else(|| format!("unknown firmware `{}`", spec.firmware))?;
+    // Every slice boundary is a checkpoint. Daemon campaigns always fuzz
+    // with the platform MMIO model.
     let campaign = CampaignConfig {
         iterations: spec.iterations,
         seed: spec.seed,
         ready_budget: config.ready_budget,
         program_budget: config.program_budget,
-        // Daemon campaigns always fuzz with the platform MMIO model.
-        model_free: None,
-        mmio_withheld: false,
+        ..CampaignConfig::default()
     };
-    let mut start = StartInfo {
-        firmware: spec.firmware.clone(),
-        strategy: strategy_for(fw),
-        seed: spec.seed,
-        iterations: spec.iterations,
-        ready_budget: campaign.ready_budget,
-        program_budget: campaign.program_budget,
-        checkpoint_interval: config.slice,
-        base_hash: 0,
-        model_free: campaign.model_free,
-        mmio_withheld: campaign.mmio_withheld,
-    };
+    let mut start =
+        StartInfo::new(spec.firmware.clone(), paper_strategy(fw), &campaign, config.slice);
     let path = spec.journal_path(&config.state_dir);
     let (journal, resume) = if path.exists() {
         let loaded = Journal::load(&path).map_err(|e| format!("journal load: {e}"))?;
         // A journal with no intact Start record (killed before the first
         // append) restarts from scratch: resume None re-appends Start.
-        // An intact Start carries the base-image hash of the killed run;
-        // adopting it makes the supervised span verify that the rebuilt
-        // session forked from a bit-identical ready state.
+        // An intact Start carries the identity hashes of the killed run;
+        // adopting them makes the supervised span verify that the rebuilt
+        // session forked from a bit-identical ready state and generates
+        // from the same descriptions.
         let resume = loaded.start().ok().map(|journaled| {
             start.base_hash = journaled.base_hash;
+            start.descs_hash = journaled.descs_hash;
             ResumePoint::from_journal(&loaded)
         });
         let journal =

@@ -380,6 +380,7 @@ fn journal_survives_torn_tails_and_rejects_corruption() {
         program_budget: 2_000,
         checkpoint_interval: 10,
         base_hash: 0,
+        descs_hash: 0,
         model_free: Some((0xF000_0000, 0x1000)),
         mmio_withheld: false,
     };
