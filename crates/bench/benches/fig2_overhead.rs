@@ -51,9 +51,7 @@ fn replay_raw(machine: &mut Machine, corpus: &[ExecProgram]) {
         machine.bus_mut().devices.mailbox.host_load(&program.encode());
         loop {
             let exit = machine.run(&mut NullHook, 500_000).unwrap();
-            if machine.bus().devices.mailbox.result_count() >= program.calls.len()
-                || exit != RunExit::BudgetExhausted
-            {
+            if machine.bus().devices.mailbox.answered() || exit != RunExit::BudgetExhausted {
                 break;
             }
         }

@@ -140,7 +140,6 @@ fn run_corpus_raw(
     let start = Instant::now();
     for program in corpus.iter().cycle().take(corpus.len() * repeats) {
         machine.bus_mut().devices.mailbox.host_load(&program.encode());
-        let total = program.calls.len();
         let mut spent = 0u64;
         loop {
             let exit = machine.run(&mut NullHook, 500_000).expect("machine runs");
@@ -151,7 +150,7 @@ fn run_corpus_raw(
                 !matches!(exit, RunExit::Halted { .. } | RunExit::Faulted { .. }),
                 "clean workload must not crash: {exit:?}"
             );
-            let done = machine.bus().devices.mailbox.result_count() >= total;
+            let done = machine.bus().devices.mailbox.answered();
             if done || spent >= PROGRAM_BUDGET {
                 break;
             }

@@ -67,7 +67,12 @@ impl From<RuntimeError> for SessionError {
 /// Outcome of running one test program.
 #[derive(Debug)]
 pub struct ExecOutcome {
-    /// How the run ended (normally [`RunExit::AllIdle`]).
+    /// How the run ended. A completed program normally ends in
+    /// [`RunExit::AllIdle`] on a uniprocessor and [`RunExit::ProgramDone`]
+    /// on SMP firmware, whose secondary vCPU never idles;
+    /// [`RunExit::BudgetExhausted`] means the budget ran out first, or that
+    /// a uniprocessor program completed while an interrupt source kept the
+    /// machine busy until the end of a slice.
     pub exit: RunExit,
     /// Per-call result bytes from the executor.
     pub results: Vec<u8>,
@@ -542,9 +547,10 @@ impl Session {
         }
         // Run in slices, waking parked vCPUs at each slice boundary (`wfi`
         // waits for an event; host slicing is one). The completion signal is
-        // the executor's per-call result bytes — `AllIdle` alone is not
-        // usable on SMP firmware whose background task never sleeps.
-        let total_calls = program.calls.len();
+        // the mailbox's "answered" state (one result byte per call): the
+        // machine stops on it by itself when the executor parks — with
+        // `AllIdle` once every vCPU idles, with `ProgramDone` while another
+        // vCPU is still runnable — and otherwise at the next slice boundary.
         let insns_before = self.machine.lifetime_retired();
         let mut exit;
         let mut spent: u64 = 0;
@@ -555,11 +561,10 @@ impl Session {
                 embsan_emu::hook::CombinedHook { primary: runtime, observer: &mut *observer };
             exit = machine.run(&mut combined, slice)?;
             spent += slice;
-            let done = self.machine.bus().devices.mailbox.result_count() >= total_calls;
             match exit {
                 RunExit::Faulted { .. } | RunExit::Halted { .. } => break,
                 RunExit::Stopped if self.runtime.stop_on_report => break,
-                _ if done => break,
+                _ if self.machine.bus().devices.mailbox.answered() => break,
                 // All vCPUs parked with the program incomplete: stuck.
                 RunExit::AllIdle => break,
                 _ if spent >= budget => break,

@@ -17,6 +17,9 @@ pub struct Mailbox {
     program: Vec<u8>,
     cursor: usize,
     results: Vec<u8>,
+    /// Calls the loaded program declares (its header byte) while the host
+    /// awaits their results; `None` during boot and once results are taken.
+    awaited: Option<usize>,
 }
 
 impl Mailbox {
@@ -26,23 +29,27 @@ impl Mailbox {
     }
 
     /// Host side: loads a program for the guest executor, resetting the read
-    /// cursor and clearing previous results.
+    /// cursor and clearing previous results. Arms [`Mailbox::answered`]
+    /// with the call count from the program's header byte.
     pub fn host_load(&mut self, program: &[u8]) {
         self.program = program.to_vec();
         self.cursor = 0;
         self.results.clear();
+        self.awaited = Some(program.first().map_or(0, |&calls| usize::from(calls)));
     }
 
-    /// Host side: takes the result bytes written by the guest so far.
+    /// Host side: takes the result bytes written by the guest so far and
+    /// disarms [`Mailbox::answered`].
     pub fn host_take_results(&mut self) -> Vec<u8> {
+        self.awaited = None;
         std::mem::take(&mut self.results)
     }
 
-    /// Host side: number of result bytes written so far (without draining).
-    /// Used as the program-completion signal: the executor writes one
-    /// result byte per call.
-    pub fn result_count(&self) -> usize {
-        self.results.len()
+    /// Whether a loaded program has been answered: the executor has written
+    /// one result byte per declared call. False while no program is loaded
+    /// (boot) and after the host took the results.
+    pub fn answered(&self) -> bool {
+        self.awaited.is_some_and(|calls| self.results.len() >= calls)
     }
 
     /// Host side: whether the guest has consumed the entire program.
@@ -107,5 +114,47 @@ mod tests {
         mailbox.host_load(&[7]);
         assert_eq!(mailbox.read(NEXT), 7);
         assert!(mailbox.host_take_results().is_empty());
+    }
+
+    #[test]
+    fn empty_program_is_answered_at_once() {
+        let mut mailbox = Mailbox::new();
+        mailbox.host_load(&[0]);
+        assert!(mailbox.answered());
+    }
+
+    #[test]
+    fn answered_only_after_the_last_result_byte() {
+        let mut mailbox = Mailbox::new();
+        // Header: two calls (the call bodies do not matter to the count).
+        mailbox.host_load(&[2, 1, 0, 3, 0]);
+        assert!(!mailbox.answered());
+        mailbox.write(RESULT, 0);
+        assert!(!mailbox.answered());
+        mailbox.write(RESULT, 0);
+        assert!(mailbox.answered());
+    }
+
+    #[test]
+    fn taking_results_disarms_answered() {
+        let mut mailbox = Mailbox::new();
+        mailbox.host_load(&[1, 4, 0]);
+        mailbox.write(RESULT, 9);
+        assert!(mailbox.answered());
+        assert_eq!(mailbox.host_take_results(), vec![9]);
+        assert!(!mailbox.answered());
+        // Stray writes after the take do not re-arm it.
+        mailbox.write(RESULT, 1);
+        assert!(!mailbox.answered());
+    }
+
+    #[test]
+    fn nothing_is_answered_during_boot() {
+        // Before the first `host_load` the guest may poll and write freely.
+        let mut mailbox = Mailbox::new();
+        assert!(!mailbox.answered());
+        assert_eq!(mailbox.read(STATUS), 0);
+        mailbox.write(RESULT, 5);
+        assert!(!mailbox.answered());
     }
 }

@@ -36,6 +36,11 @@ pub enum RunExit {
     Stopped,
     /// Every vCPU is parked in `wfi` with no interrupt source able to wake it.
     AllIdle,
+    /// A vCPU parked in `wfi` with the mailbox program answered (see
+    /// [`crate::device::Mailbox::answered`]) while another vCPU was still
+    /// runnable. On a uniprocessor, or once every vCPU is parked,
+    /// [`RunExit::AllIdle`] reports the same point instead.
+    ProgramDone,
     /// Execution reached a host breakpoint (the instruction at `pc` has not
     /// executed yet).
     Breakpoint {
@@ -258,6 +263,15 @@ impl Machine {
 
     pub(crate) fn set_retired(&mut self, value: u64) {
         self.global_retired = value;
+    }
+
+    /// The vCPU the round-robin scheduler tries first in the next quantum.
+    pub(crate) fn next_cpu(&self) -> usize {
+        self.next_cpu
+    }
+
+    pub(crate) fn set_next_cpu(&mut self, idx: usize) {
+        self.next_cpu = idx;
     }
 
     /// Monotonic lifetime instruction clock (never rewound by snapshot
@@ -599,6 +613,15 @@ impl Machine {
             }
 
             match exit {
+                // A vCPU idled with every call answered while another is
+                // still runnable: on SMP firmware whose secondary never
+                // sleeps, `AllIdle` would never come.
+                QuantumExit::Parked
+                    if self.bus.devices.mailbox.answered()
+                        && self.cpus.iter().enumerate().any(|(i, c)| i != idx && !c.parked) =>
+                {
+                    return Ok(RunExit::ProgramDone);
+                }
                 QuantumExit::Continue | QuantumExit::Parked | QuantumExit::Stalled => {}
                 QuantumExit::Halt(code) => return Ok(RunExit::Halted { code }),
                 QuantumExit::Fault(fault, pc) => {
@@ -1478,6 +1501,55 @@ mod tests {
         let (a2, b2) = run_once();
         assert_eq!((a1, b1), (a2, b2));
         assert!(a1 > 0 && b1 > 0, "both CPUs made progress: {a1} {b1}");
+    }
+
+    /// The executor (cpu 0) answers its one call and parks while cpu 1
+    /// spins: the run ends at `ProgramDone` on SMP, at `AllIdle` on a
+    /// uniprocessor, and not at all while no program awaits an answer.
+    #[test]
+    fn answered_program_ends_the_run_when_the_executor_parks() {
+        let profile = ArchProfile::armv();
+        let result_reg = (crate::device::MAILBOX_BASE + 0xC) as i32;
+        let insns = [
+            Insn::Csrr { rd: Reg::R2, idx: Csr::Cpuid as u16 },
+            Insn::Bne { rs1: Reg::R2, rs2: Reg::R0, offset: 20 },
+            Insn::Lui { rd: Reg::R1, imm: profile.mmio_base },
+            Insn::Sw { rs2: Reg::R0, rs1: Reg::R1, imm: result_reg },
+            Insn::Wfi,
+            Insn::Jal { rd: Reg::R0, offset: -4 },
+            Insn::Jal { rd: Reg::R0, offset: 0 }, // cpu 1: never sleeps
+        ];
+        let mut text = Vec::new();
+        for insn in &insns {
+            text.extend_from_slice(&insn.encode().to_bytes(profile.endian));
+        }
+        let machine = |cpus| {
+            Machine::builder(profile)
+                .rom(profile.rom_base, &text)
+                .ram(profile.ram_base, 0x1000)
+                .cpus(cpus)
+                .build()
+                .unwrap()
+        };
+        // One call: nr 0, no arguments.
+        let program = [1, 0, 0];
+
+        let mut smp = machine(2);
+        smp.bus_mut().devices.mailbox.host_load(&program);
+        assert_eq!(smp.run(&mut NullHook, 100_000).unwrap(), RunExit::ProgramDone);
+        assert_eq!(smp.retired(), 5, "stops at cpu 0's wfi, before cpu 1 runs");
+        assert_eq!(smp.bus_mut().devices.mailbox.host_take_results(), vec![0]);
+        // Results taken: nothing awaits an answer, cpu 1 spins on.
+        assert_eq!(smp.run(&mut NullHook, 100_000).unwrap(), RunExit::BudgetExhausted);
+
+        let mut up = machine(1);
+        up.bus_mut().devices.mailbox.host_load(&program);
+        assert_eq!(up.run(&mut NullHook, 100_000).unwrap(), RunExit::AllIdle);
+        assert_eq!(up.retired(), 5);
+
+        // Nothing is answered before a program is loaded (boot).
+        let mut boot = machine(2);
+        assert_eq!(boot.run(&mut NullHook, 100_000).unwrap(), RunExit::BudgetExhausted);
     }
 
     #[test]

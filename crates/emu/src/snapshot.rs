@@ -22,9 +22,9 @@ use crate::error::EmuError;
 use crate::machine::Machine;
 
 /// A point-in-time copy of all mutable machine state (RAM, vCPUs, devices,
-/// retired-instruction counters). The ROM and translation cache are not part
-/// of the snapshot: ROM is immutable and the cache is a pure function of ROM
-/// plus the hook configuration.
+/// retired-instruction counters, round-robin cursor). The ROM and
+/// translation cache are not part of the snapshot: ROM is immutable and the
+/// cache is a pure function of ROM plus the hook configuration.
 ///
 /// The RAM image is `Arc`-shared and never mutated after capture; clones
 /// share it. `PartialEq` compares the full captured state byte-for-byte,
@@ -36,6 +36,9 @@ pub struct Snapshot {
     cpus: Vec<Cpu>,
     devices: DeviceSet,
     global_retired: u64,
+    /// The vCPU the scheduler runs first: without it an SMP program's
+    /// interleaving would depend on the program run before the restore.
+    next_cpu: usize,
 }
 
 impl Snapshot {
@@ -51,17 +54,18 @@ impl Snapshot {
     }
 
     /// Folds this snapshot's contents into `hash` (FNV-1a): RAM bytes,
-    /// then the CPU/device state and retired count via their canonical
-    /// `Debug` rendering. Deterministic for identical machine states, so
-    /// two independently booted sessions of the same firmware hash alike
-    /// and can share one base image.
+    /// then the CPU/device state, retired count and round-robin cursor via
+    /// their canonical `Debug` rendering. Deterministic for identical
+    /// machine states, so two independently booted sessions of the same
+    /// firmware hash alike and can share one base image.
     pub fn fold_hash(&self, mut hash: u64) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01B3;
         for &b in self.ram.iter() {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(PRIME);
         }
-        let tail = format!("{:?}|{:?}|{}", self.cpus, self.devices, self.global_retired);
+        let tail =
+            format!("{:?}|{:?}|{}|{}", self.cpus, self.devices, self.global_retired, self.next_cpu);
         for &b in tail.as_bytes() {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(PRIME);
@@ -80,6 +84,7 @@ impl Machine {
             cpus: (0..self.cpu_count()).map(|i| self.cpu(i).clone()).collect(),
             devices: self.bus().devices.clone(),
             global_retired: self.retired(),
+            next_cpu: self.next_cpu(),
         }
     }
 
@@ -158,6 +163,7 @@ impl Machine {
             *self.cpu_mut(i) = cpu.clone();
         }
         self.set_retired(snapshot.global_retired);
+        self.set_next_cpu(snapshot.next_cpu);
     }
 
     /// Private overlay bytes guest RAM holds beyond its shared base

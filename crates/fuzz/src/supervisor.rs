@@ -617,6 +617,9 @@ fn execute_with_watchdog(
             // hang to classify.
             return Ok(Some(outcome));
         }
+        // Any other exit ends the iteration normally: `AllIdle` or, on SMP
+        // firmware whose secondary vCPU never idles, `ProgramDone` once every
+        // call is answered; a fault or halt is a finding for the fuzzer.
         if outcome.exit != RunExit::BudgetExhausted {
             if outcome.exit == RunExit::AllIdle && outcome.results.len() < program.calls.len() {
                 // Guest parked mid-program: asleep, not spinning. Nothing to

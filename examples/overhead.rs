@@ -26,9 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         machine.bus_mut().devices.mailbox.host_load(&program.encode());
         loop {
             let exit = machine.run(&mut NullHook, 500_000)?;
-            if machine.bus().devices.mailbox.result_count() >= program.calls.len()
-                || exit != RunExit::BudgetExhausted
-            {
+            if machine.bus().devices.mailbox.answered() || exit != RunExit::BudgetExhausted {
                 break;
             }
         }

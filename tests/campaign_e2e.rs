@@ -72,10 +72,6 @@ fn sanitized_pipeline_is_deterministic_end_to_end() {
 /// Race findings attribute to the race rows and carry both parties when
 /// the collision was observed directly.
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "campaign-scale test; run with `cargo test --release --test campaign_e2e`"
-)]
 fn race_campaign_on_x86_64() {
     let spec = firmware_by_name("OpenWRT-x86_64").unwrap();
     let config = CampaignConfig { iterations: 8_000, seed: 4, ..CampaignConfig::default() };

@@ -11,7 +11,9 @@ use std::sync::Arc;
 use embsan::emu::prelude::*;
 use embsan::fuzz::campaign::{prepare_session, CampaignConfig};
 use embsan::fuzz::{descriptions_for, Fuzzer, FuzzerConfig, Strategy};
+use embsan::guestos::executor::{sys, ExecProgram};
 use embsan::guestos::firmware_by_name;
+use embsan::obs::TraceConfig;
 
 const PAGE: u32 = 4096;
 
@@ -183,4 +185,49 @@ fn adopt_base_rejects_mismatched_image() {
     let own_hash = other.base_hash();
     assert!(!other.adopt_base(&foreign).unwrap(), "mismatched hash must be refused");
     assert_eq!(other.base_hash(), own_hash, "private base is kept on refusal");
+}
+
+/// Restore rewinds the round-robin scheduler cursor with the rest of the
+/// machine: on a 2-vCPU firmware one interrupt program yields the same
+/// exit, results, reports and trace whatever program ran before the reset.
+#[test]
+fn smp_outcome_is_independent_of_the_previous_program() {
+    let spec = firmware_by_name("InfiniTime-sensor").unwrap();
+    let (mut session, _) = prepare_session(spec, &CampaignConfig::default()).unwrap();
+    // Every program reports afresh, so a predecessor's report cannot hide
+    // the same report from the program under test.
+    session.runtime_mut().dedup_enabled = false;
+    session.enable_tracing(TraceConfig::deterministic());
+    let mut target = ExecProgram::new();
+    target.push(sys::IRQ_SETUP, &[50, 1, 1]);
+    target.push(sys::IRQ_LOAD, &[20]);
+    let program = |calls: &[(u8, &[u32])]| {
+        let mut p = ExecProgram::new();
+        for (nr, args) in calls {
+            p.push(*nr, args);
+        }
+        p
+    };
+    let predecessors = [
+        None,
+        Some(program(&[(sys::HASH, &[37])])),
+        Some(program(&[(sys::NOP, &[])])),
+        Some(program(&[(sys::ECHO, &[5]), (sys::HASH, &[3])])),
+        Some(program(&[])),
+    ];
+    let mut outcomes = Vec::new();
+    for before in &predecessors {
+        if let Some(before) = before {
+            session.run_program_fresh(before, 2_000_000).unwrap();
+        }
+        session.take_trace();
+        session.reset().unwrap();
+        let mark = session.trace_mark();
+        let outcome = session.run_program(&target, 2_000_000).unwrap();
+        let trace = embsan::obs::trace_to_jsonl(&session.drain_trace(mark), &[]);
+        outcomes.push((outcome.exit, outcome.results, outcome.reports, trace));
+    }
+    for (before, outcome) in predecessors.iter().zip(&outcomes).skip(1) {
+        assert_eq!(outcome, &outcomes[0], "outcome changed after {before:?}");
+    }
 }

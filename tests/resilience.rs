@@ -1,7 +1,7 @@
 //! Supervisor resilience integration tests: snapshot fidelity, journaled
 //! kill/resume determinism, and watchdog recovery from injected live-locks.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use embsan::emu::error::EmuError;
 use embsan::emu::fault::{FaultEvent, FaultKind, FaultPlan};
@@ -229,11 +229,32 @@ fn wedge_recovery_quarantines_and_completes() {
     ignore = "campaign-scale test; run with `cargo test --release --test resilience`"
 )]
 fn supervisor_is_neutral_for_healthy_runs() {
-    let spec = firmware_by_name("OpenHarmony-stm32mp1").unwrap();
     let campaign = CampaignConfig { iterations: 1_500, seed: 11, ..CampaignConfig::default() };
+    assert_supervisor_neutral("OpenHarmony-stm32mp1", campaign, None);
+}
+
+/// The same neutrality on a 2-vCPU firmware, journaled: a completed program
+/// ends in `ProgramDone` although the secondary vCPU never idles, so the
+/// watchdog never mistakes a finished program for a live-lock.
+#[test]
+fn supervisor_is_neutral_for_smp_runs() {
+    let campaign = CampaignConfig { iterations: 300, seed: 1, ..CampaignConfig::default() };
+    let journal = tmp_path("smp_supervised.journal");
+    let found = assert_supervisor_neutral("OpenWRT-x86_64", campaign, Some(&journal));
+    assert!(found > 0, "the SMP campaign must find a bug");
+}
+
+/// Runs `campaign` plain and supervised and asserts identical statistics and
+/// findings, with no wedge and no quarantine. Returns the number of bugs found.
+fn assert_supervisor_neutral(
+    firmware: &str,
+    campaign: CampaignConfig,
+    journal: Option<&Path>,
+) -> usize {
+    let spec = firmware_by_name(firmware).unwrap();
     let plain = run_campaign(spec, &campaign).unwrap();
     let config = SupervisorConfig { campaign, ..SupervisorConfig::default() };
-    let supervised = run_supervised(spec, &config, None).unwrap();
+    let supervised = run_supervised(spec, &config, journal).unwrap();
     assert_eq!(supervised.result.stats, plain.stats);
     assert_eq!(supervised.result.found.len(), plain.found.len());
     for (a, b) in supervised.result.found.iter().zip(&plain.found) {
@@ -242,4 +263,5 @@ fn supervisor_is_neutral_for_healthy_runs() {
     }
     assert_eq!(supervised.health.wedges, 0);
     assert_eq!(supervised.health.quarantined, 0);
+    plain.found.len()
 }
