@@ -157,23 +157,11 @@ impl Report {
     /// when the whole access shape matches, and it serializes as one u64
     /// for store keys and wire formats.
     pub fn signature(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
-        eat(self.class.code());
-        for byte in self.pc.to_le_bytes() {
-            eat(byte);
-        }
-        for byte in self.addr.to_le_bytes() {
-            eat(byte);
-        }
-        eat(self.size);
-        eat(u8::from(self.is_write));
-        hash
+        let mut bytes = vec![self.class.code()];
+        bytes.extend(self.pc.to_le_bytes());
+        bytes.extend(self.addr.to_le_bytes());
+        bytes.extend([self.size, u8::from(self.is_write)]);
+        embsan_emu::hash::fnv1a(&bytes)
     }
 
     /// Renders a KASAN-style textual report; with an unstripped firmware

@@ -192,22 +192,14 @@ pub struct RuntimeState {
 }
 
 impl RuntimeState {
-    /// Folds the contents of the big sanitizer planes into `hash` (FNV-1a).
-    /// Part of the base-image identity: two sessions whose RAM, CPU state
-    /// *and* sanitizer planes hash alike can share one copy-on-write base.
-    pub(crate) fn fold_plane_hash(&self, mut hash: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
-        fold(&self.shadow.plane_to_vec());
-        if let Some(umsan) = &self.umsan {
-            fold(&umsan.plane_to_vec());
-        }
-        hash
+    /// Folds the big sanitizer planes into `hash`: the shadow plane, then
+    /// the uninit plane when UMSAN is attached, each page by page
+    /// ([`embsan_emu::PagedBytes::fold_hash`]). Part of the base-image
+    /// identity: two sessions whose RAM, CPU state *and* sanitizer planes
+    /// hash alike can share one copy-on-write base.
+    pub fn fold_plane_hash(&self, hash: u64) -> u64 {
+        let hash = self.shadow.fold_plane_hash(hash);
+        self.umsan.as_ref().map_or(hash, |umsan| umsan.fold_plane_hash(hash))
     }
 
     /// Total bytes of the big sanitizer planes (shared-base accounting).

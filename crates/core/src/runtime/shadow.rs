@@ -82,9 +82,9 @@ impl ShadowMemory {
         self.bytes.overlay_bytes()
     }
 
-    /// Materialized plane contents (for base-image content hashing).
-    pub(crate) fn plane_to_vec(&self) -> Vec<u8> {
-        self.bytes.to_vec()
+    /// Folds the plane into `hash` (for base-image content hashing).
+    pub(crate) fn fold_plane_hash(&self, hash: u64) -> u64 {
+        self.bytes.fold_hash(hash)
     }
 
     /// Total plane size in bytes (shared-base accounting).

@@ -58,9 +58,9 @@ impl UmsanEngine {
         self.uninit.overlay_bytes()
     }
 
-    /// Materialized plane contents (for base-image content hashing).
-    pub(crate) fn plane_to_vec(&self) -> Vec<u8> {
-        self.uninit.to_vec()
+    /// Folds the plane into `hash` (for base-image content hashing).
+    pub(crate) fn fold_plane_hash(&self, hash: u64) -> u64 {
+        self.uninit.fold_hash(hash)
     }
 
     /// Total plane size in bytes (shared-base accounting).

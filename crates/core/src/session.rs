@@ -103,11 +103,16 @@ impl std::fmt::Debug for BaseImage {
 }
 
 impl BaseImage {
-    /// FNV-1a content hash over RAM, CPU/device state, retired count and
-    /// the sanitizer planes. Two sessions whose base images hash alike are
-    /// bit-identical at the ready point and may share one base.
+    /// Content hash of the ready state: [`Snapshot::fold_hash`] from seed 0,
+    /// then [`RuntimeState::fold_plane_hash`]. Sessions whose base images hash
+    /// alike are bit-identical at the ready point and may share one base.
     pub fn hash(&self) -> u64 {
         self.hash
+    }
+
+    /// The machine snapshot every reset restores.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.snapshot
     }
 
     /// Bytes the shared base holds (RAM image plus sanitizer planes) —
@@ -422,14 +427,14 @@ impl Session {
             self.runtime.activate();
         }
         self.ready_done = true;
-        // Freeze the sanitizer planes first: the captured state then shares
-        // one immutable backing with the live planes, so the capture is an
-        // O(pages) fork instead of a full copy, and every session adopting
-        // this base image shares the same allocation.
+        // Freeze RAM and the sanitizer planes first: the capture then shares
+        // one immutable backing with the live state (no copy, and the first
+        // reset is O(dirty)), as does every session adopting this base.
+        self.machine.freeze_ram();
         self.runtime.freeze_planes();
         let snapshot = self.machine.snapshot();
         let state = self.runtime.state();
-        let hash = state.fold_plane_hash(snapshot.fold_hash(0xCBF2_9CE4_8422_2325));
+        let hash = state.fold_plane_hash(snapshot.fold_hash(0));
         self.baseline = Some(Arc::new(BaseImage { snapshot, state, hash }));
         Ok(())
     }

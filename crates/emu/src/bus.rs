@@ -417,10 +417,18 @@ impl Bus {
         Err(self.classify_fault(self.first_uncovered_byte(addr, len.max(1)), true))
     }
 
-    /// Materializes the current RAM contents as an owned vector
-    /// (base + overlay when forked).
-    pub(crate) fn clone_ram(&self) -> Vec<u8> {
-        self.ram.to_vec()
+    /// The current RAM contents as an immutable shared image: the base
+    /// itself when RAM is a fork with an empty overlay, else a copy.
+    pub(crate) fn ram_image(&self) -> Arc<Vec<u8>> {
+        self.ram.share()
+    }
+
+    /// Freezes RAM in place as an immutable shared base and re-forks it
+    /// from that base (no byte copy when RAM is flat); every page is
+    /// clean afterwards.
+    pub(crate) fn freeze_ram(&mut self) {
+        self.ram.freeze();
+        self.ram_dirty.clear();
     }
 
     /// Whether guest RAM currently forks from exactly `base`.

@@ -188,55 +188,37 @@ impl PagedBytes {
         }
     }
 
-    /// Copies `src` into the buffer at `offset`, straddle-safe (splits
-    /// the copy at page boundaries in CoW mode).
+    /// Splits `offset..offset + len` at page boundaries into
+    /// `(at, done, chunk)` pieces: `chunk` bytes at `at`, after `done` bytes.
+    fn pieces(&self, offset: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let page = self.page_size();
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            let at = offset + done;
+            let chunk = (len - done).min(page - (at & (page - 1)));
+            done += chunk;
+            (chunk > 0).then_some((at, done - chunk, chunk))
+        })
+    }
+
+    /// Copies `src` into the buffer at `offset`, straddle-safe.
     pub fn write_bytes(&mut self, offset: usize, src: &[u8]) {
-        match &mut self.store {
-            Store::Flat(bytes) => bytes[offset..offset + src.len()].copy_from_slice(src),
-            Store::Cow { .. } => {
-                let mut cursor = 0;
-                while cursor < src.len() {
-                    let at = offset + cursor;
-                    let (_, page_end) = self.page_span(at >> self.page_shift);
-                    let chunk = (src.len() - cursor).min(page_end - at);
-                    self.slice_mut(at, chunk).copy_from_slice(&src[cursor..cursor + chunk]);
-                    cursor += chunk;
-                }
-            }
+        for (at, done, chunk) in self.pieces(offset, src.len()) {
+            self.slice_mut(at, chunk).copy_from_slice(&src[done..done + chunk]);
         }
     }
 
     /// Fills `offset..offset + len` with `value`, straddle-safe.
     pub fn fill(&mut self, offset: usize, len: usize, value: u8) {
-        match &mut self.store {
-            Store::Flat(bytes) => bytes[offset..offset + len].fill(value),
-            Store::Cow { .. } => {
-                let mut cursor = 0;
-                while cursor < len {
-                    let at = offset + cursor;
-                    let (_, page_end) = self.page_span(at >> self.page_shift);
-                    let chunk = (len - cursor).min(page_end - at);
-                    self.slice_mut(at, chunk).fill(value);
-                    cursor += chunk;
-                }
-            }
+        for (at, _, chunk) in self.pieces(offset, len) {
+            self.slice_mut(at, chunk).fill(value);
         }
     }
 
     /// Reads `dst.len()` bytes at `offset`, straddle-safe.
     pub fn read_bytes(&self, offset: usize, dst: &mut [u8]) {
-        match &self.store {
-            Store::Flat(bytes) => dst.copy_from_slice(&bytes[offset..offset + dst.len()]),
-            Store::Cow { .. } => {
-                let mut cursor = 0;
-                while cursor < dst.len() {
-                    let at = offset + cursor;
-                    let (_, page_end) = self.page_span(at >> self.page_shift);
-                    let chunk = (dst.len() - cursor).min(page_end - at);
-                    dst[cursor..cursor + chunk].copy_from_slice(self.read_slice(at, chunk));
-                    cursor += chunk;
-                }
-            }
+        for (at, done, chunk) in self.pieces(offset, dst.len()) {
+            dst[done..done + chunk].copy_from_slice(self.read_slice(at, chunk));
         }
     }
 
@@ -284,18 +266,18 @@ impl PagedBytes {
 
     /// Full contents as an owned vector (materializes base + overlay).
     pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = vec![0; self.len];
+        self.read_bytes(0, &mut out);
+        out
+    }
+
+    /// The current contents as an immutable shared image: the existing
+    /// base when this is a fork with an empty overlay (no copy), else a
+    /// materialized copy.
+    pub fn share(&self) -> Arc<Vec<u8>> {
         match &self.store {
-            Store::Flat(bytes) => bytes.clone(),
-            Store::Cow { base, overlay } => {
-                let mut out = base.as_ref().clone();
-                for (page, slot) in overlay.iter().enumerate() {
-                    if let Some(bytes) = slot {
-                        let start = page << self.page_shift;
-                        out[start..start + bytes.len()].copy_from_slice(bytes);
-                    }
-                }
-                out
-            }
+            Store::Cow { base, .. } if self.resident == 0 => Arc::clone(base),
+            _ => Arc::new(self.to_vec()),
         }
     }
 
@@ -304,25 +286,21 @@ impl PagedBytes {
     /// base itself (no copy); a fork with an empty overlay returns its
     /// existing base; a diverged fork materializes a new base.
     pub fn freeze(&mut self) -> Arc<Vec<u8>> {
-        let page_shift = self.page_shift;
         let base = match &mut self.store {
             Store::Flat(bytes) => Arc::new(std::mem::take(bytes)),
-            Store::Cow { base, overlay } => {
-                if overlay.iter().all(Option::is_none) {
-                    return Arc::clone(base);
-                }
-                let mut out = base.as_ref().clone();
-                for (page, slot) in overlay.iter().enumerate() {
-                    if let Some(bytes) = slot {
-                        let start = page << page_shift;
-                        out[start..start + bytes.len()].copy_from_slice(bytes);
-                    }
-                }
-                Arc::new(out)
-            }
+            Store::Cow { .. } => self.share(),
         };
-        *self = PagedBytes::forked(Arc::clone(&base), self.page_shift);
+        self.adopt(Arc::clone(&base));
         base
+    }
+
+    /// Folds the contents into `hash` page by page with
+    /// [`crate::hash::fold`], reading the overlay or the base in place.
+    pub fn fold_hash(&self, hash: u64) -> u64 {
+        (0..self.len.div_ceil(self.page_size())).fold(hash, |hash, page| {
+            let (start, end) = self.page_span(page);
+            crate::hash::fold(hash, self.read_slice(start, end - start))
+        })
     }
 
     /// Re-forks this buffer from `base`, discarding current contents and
@@ -439,6 +417,32 @@ mod tests {
         assert_eq!(rebased[1], 5);
         assert_eq!(fork.overlay_bytes(), 0);
         assert!(fork.shares_base(&rebased));
+    }
+
+    #[test]
+    fn share_returns_a_clean_fork_base_and_copies_otherwise() {
+        let mut buf = PagedBytes::zeroed(2 * PAGE, SHIFT);
+        buf.write_bytes(3, &[4]);
+        let flat = buf.share();
+        assert!(!buf.is_forked(), "sharing a flat buffer leaves it flat");
+        let base = buf.freeze();
+        assert!(Arc::ptr_eq(&buf.share(), &base), "a clean fork shares its base");
+        buf.write_bytes(PAGE, &[5]);
+        let diverged = buf.share();
+        assert!(!Arc::ptr_eq(&diverged, &base));
+        assert_eq!((flat[3], diverged[3], diverged[PAGE]), (4, 4, 5));
+    }
+
+    #[test]
+    fn fold_hash_sees_contents_not_storage() {
+        let base = Arc::new((0..2 * PAGE + 9).map(|i| i as u8).collect::<Vec<u8>>());
+        let mut fork = PagedBytes::forked(Arc::clone(&base), SHIFT);
+        let flat = PagedBytes::from_vec(base.as_ref().clone(), SHIFT);
+        assert_eq!(fork.fold_hash(1), flat.fold_hash(1));
+        fork.write_bytes(2 * PAGE + 8, &[0]);
+        assert_ne!(fork.fold_hash(1), flat.fold_hash(1), "the partial tail page is hashed");
+        fork.write_bytes(2 * PAGE + 8, &[8]);
+        assert_eq!(fork.fold_hash(1), flat.fold_hash(1), "an overlay page equal to base");
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod device;
 pub mod dirty;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod hook;
 pub mod isa;
 pub mod machine;

@@ -53,39 +53,42 @@ impl Snapshot {
         self.ram.len()
     }
 
-    /// Folds this snapshot's contents into `hash` (FNV-1a): RAM bytes,
-    /// then the CPU/device state, retired count and round-robin cursor via
-    /// their canonical `Debug` rendering. Deterministic for identical
-    /// machine states, so two independently booted sessions of the same
-    /// firmware hash alike and can share one base image.
-    pub fn fold_hash(&self, mut hash: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        for &b in self.ram.iter() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
+    /// Folds this snapshot's contents into `hash` with
+    /// [`crate::hash::fold`]: the RAM image as one slice, then the
+    /// CPU/device state, retired count and round-robin cursor as their
+    /// canonical `Debug` rendering. Deterministic for identical machine
+    /// states, so two independently booted sessions of the same firmware
+    /// hash alike and can share one base image.
+    pub fn fold_hash(&self, hash: u64) -> u64 {
         let tail =
             format!("{:?}|{:?}|{}|{}", self.cpus, self.devices, self.global_retired, self.next_cpu);
-        for &b in tail.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
+        crate::hash::fold(crate::hash::fold(hash, &self.ram), tail.as_bytes())
     }
 }
 
 impl Machine {
-    /// Captures a snapshot of the current machine state. The RAM image is
-    /// materialized once (base + any overlay) and becomes the immutable
-    /// shared base of every machine that restores the snapshot.
+    /// Captures a snapshot of the current machine state. When RAM is a
+    /// fork with an empty overlay (right after [`Machine::freeze_ram`] or
+    /// a restore) the snapshot shares that base; otherwise the RAM image
+    /// is materialized once (base + any overlay). Either way it becomes
+    /// the immutable shared base of every machine that restores the
+    /// snapshot.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            ram: Arc::new(self.bus().clone_ram()),
+            ram: self.bus().ram_image(),
             cpus: (0..self.cpu_count()).map(|i| self.cpu(i).clone()).collect(),
             devices: self.bus().devices.clone(),
             global_retired: self.retired(),
             next_cpu: self.next_cpu(),
         }
+    }
+
+    /// Freezes guest RAM in place as an immutable shared base, with no
+    /// byte copy when RAM is flat. A following [`Machine::snapshot`]
+    /// captures that base in O(1) bytes, and the first restore of it takes
+    /// the O(dirty) copy-on-write path.
+    pub fn freeze_ram(&mut self) {
+        self.bus_mut().freeze_ram();
     }
 
     /// Restores a snapshot previously taken from a machine with the same
@@ -102,21 +105,7 @@ impl Machine {
     /// Returns [`EmuError::SnapshotMismatch`] if the snapshot shape does not
     /// match this machine.
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), EmuError> {
-        let (_, ram_size) = self.bus().ram_range();
-        if snapshot.ram.len() != ram_size as usize {
-            return Err(EmuError::SnapshotMismatch(format!(
-                "snapshot RAM is {} bytes, machine has {}",
-                snapshot.ram.len(),
-                ram_size
-            )));
-        }
-        if snapshot.cpus.len() != self.cpu_count() {
-            return Err(EmuError::SnapshotMismatch(format!(
-                "snapshot has {} vCPUs, machine has {}",
-                snapshot.cpus.len(),
-                self.cpu_count()
-            )));
-        }
+        self.check_shape(snapshot)?;
         if self.bus().ram_shares_base(&snapshot.ram) {
             // Fast path: RAM differs from the base only on the overlay
             // pages the bus marked dirty since the last restore.
@@ -137,6 +126,13 @@ impl Machine {
     ///
     /// Returns [`EmuError::SnapshotMismatch`] exactly as [`Machine::restore`].
     pub fn restore_materialized(&mut self, snapshot: &Snapshot) -> Result<(), EmuError> {
+        self.check_shape(snapshot)?;
+        self.bus_mut().restore_ram_flat(&snapshot.ram);
+        self.finish_restore(snapshot);
+        Ok(())
+    }
+
+    fn check_shape(&self, snapshot: &Snapshot) -> Result<(), EmuError> {
         let (_, ram_size) = self.bus().ram_range();
         if snapshot.ram.len() != ram_size as usize {
             return Err(EmuError::SnapshotMismatch(format!(
@@ -152,8 +148,6 @@ impl Machine {
                 self.cpu_count()
             )));
         }
-        self.bus_mut().restore_ram_flat(&snapshot.ram);
-        self.finish_restore(snapshot);
         Ok(())
     }
 
@@ -252,6 +246,24 @@ mod tests {
             assert_eq!(m.bus().dirty_ram_pages(), 0);
             assert_eq!(m.ram_overlay_bytes(), 0, "restore frees the overlay");
         }
+    }
+
+    #[test]
+    fn frozen_ram_is_captured_without_a_copy() {
+        let mut m = counting_machine();
+        m.run(&mut NullHook, 100).unwrap();
+        let copied = m.snapshot();
+        assert!(!m.bus().ram_is_forked(), "snapshotting flat RAM leaves it flat");
+        m.freeze_ram();
+        let snap = m.snapshot();
+        assert_eq!(snap, copied);
+        assert!(m.bus().ram_shares_base(snap.ram_base()), "the capture is the base");
+        assert_eq!((m.bus().dirty_ram_pages(), m.ram_overlay_bytes()), (0, 0));
+        m.run(&mut NullHook, 50).unwrap();
+        assert!(m.bus().dirty_ram_pages() > 0);
+        m.restore(&snap).unwrap();
+        assert!(m.bus().ram_shares_base(snap.ram_base()), "first restore is copy-on-write");
+        assert_eq!(m.snapshot(), snap);
     }
 
     #[test]

@@ -28,8 +28,11 @@ use crate::fuzzer::{Finding, FuzzerState, Strategy};
 /// Journal file magic; bump the trailing digit on format changes.
 /// (`2`: `StartInfo` gained the model-free MMIO configuration. `3`:
 /// `StartInfo` gained the syscall-descriptions hash, so a resume under
-/// different descriptions fails instead of silently diverging.)
-pub const MAGIC: &[u8; 8] = b"EMBSANJ3";
+/// different descriptions fails instead of silently diverging. `4`: the
+/// base-image hash changed function (`embsan_emu::hash::fold` in place of
+/// FNV-1a), so every journaled `base_hash` changed value; the wire format
+/// did not.)
+pub const MAGIC: &[u8; 8] = b"EMBSANJ4";
 
 /// Journal failures.
 #[derive(Debug)]
@@ -844,11 +847,17 @@ impl Journal {
     pub fn load(path: &Path) -> Result<LoadedJournal, JournalError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(JournalError::Corrupt {
-                offset: 0,
-                message: "bad journal magic".to_string(),
-            });
+        let found = &bytes[..MAGIC.len().min(bytes.len())];
+        if found != MAGIC {
+            let (ours, family) = MAGIC.split_last().expect("a non-empty magic");
+            let message = match found.strip_prefix(family) {
+                Some([theirs]) => format!(
+                    "journal version {} found, this build reads version {}",
+                    *theirs as char, *ours as char
+                ),
+                _ => "bad journal magic".to_string(),
+            };
+            return Err(JournalError::Corrupt { offset: 0, message });
         }
         let mut records = Vec::new();
         let mut pos = MAGIC.len();
@@ -1071,6 +1080,24 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(Journal::load(&path), Err(JournalError::Corrupt { .. })));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn another_journal_version_is_named_in_the_error() {
+        let dir = std::env::temp_dir().join(format!("embsan-journal-ver-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.journal");
+        std::fs::write(&path, b"EMBSANJ3").unwrap();
+        let Err(JournalError::Corrupt { offset: 0, message }) = Journal::load(&path) else {
+            panic!("an EMBSANJ3 journal must not load");
+        };
+        assert_eq!(message, "journal version 3 found, this build reads version 4");
+        std::fs::write(&path, b"EMBSANJ").unwrap();
+        let Err(JournalError::Corrupt { message, .. }) = Journal::load(&path) else {
+            panic!("a cut magic must not load");
+        };
+        assert_eq!(message, "bad journal magic");
         std::fs::remove_dir_all(&dir).ok();
     }
 

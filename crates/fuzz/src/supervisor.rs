@@ -36,6 +36,7 @@
 use std::path::{Path, PathBuf};
 
 use embsan_emu::fault::{FaultPlan, HangClass, InjectionStats};
+use embsan_emu::hash::fnv1a;
 use embsan_emu::machine::RunExit;
 use embsan_guestos::executor::ExecProgram;
 use embsan_guestos::{firmware_by_name, FirmwareSpec};
@@ -256,13 +257,6 @@ fn consume<T: PartialEq>(set: &mut Vec<T>, key: &T) -> bool {
         }
         None => false,
     }
-}
-
-/// FNV-1a hash of `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
 }
 
 /// FNV-1a hash of a program's wire encoding (quarantine identity).

@@ -119,11 +119,7 @@ impl FindingsStore {
 /// (Campaign determinism is seeded per-spec, so the name is the identity;
 /// hashing keeps the store key fixed-width and the JSON compact.)
 pub fn firmware_identity(name: &str) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in name.as_bytes() {
-        hash = (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    embsan_emu::hash::fnv1a(name.as_bytes())
 }
 
 #[cfg(test)]

@@ -8,11 +8,15 @@
 
 use std::sync::Arc;
 
+use embsan::core::distill::{distill, UMSAN_HEADER};
+use embsan::core::probe::{probe, ProbeMode};
+use embsan::core::session::Session;
+use embsan::dsl::{InitProgram, InitStep, PoisonKind};
 use embsan::emu::prelude::*;
 use embsan::fuzz::campaign::{prepare_session, CampaignConfig};
 use embsan::fuzz::{descriptions_for, Fuzzer, FuzzerConfig, Strategy};
 use embsan::guestos::executor::{sys, ExecProgram};
-use embsan::guestos::firmware_by_name;
+use embsan::guestos::{firmware_by_name, os, BuildOptions, SanMode};
 use embsan::obs::TraceConfig;
 
 const PAGE: u32 = 4096;
@@ -171,6 +175,76 @@ fn adopted_base_is_shared_and_fuzzes_identically() {
     assert_eq!(own.base_hash(), Some(base.hash()));
     assert_eq!(adopted.base_hash(), Some(base.hash()));
     assert!(Arc::strong_count(&base) >= 3);
+}
+
+/// The live state's content hash, composed exactly as the ready point
+/// composes a base image's hash, but over `snapshot` for the machine part.
+fn state_hash(session: &Session, snapshot: &embsan::emu::snapshot::Snapshot) -> u64 {
+    session.runtime().state().fold_plane_hash(snapshot.fold_hash(0))
+}
+
+/// The ready point freezes RAM in place: the base image's RAM is the live
+/// machine's base allocation and nothing is overlaid, yet the hash still
+/// covers every RAM byte and the shadow plane.
+#[test]
+fn ready_point_freezes_ram_in_place_and_hashes_all_state() {
+    let spec = firmware_by_name("TP-Link WDR-7660").unwrap();
+    let config = CampaignConfig::default();
+    let (mut session, _) = prepare_session(spec, &config).unwrap();
+    let (twin, _) = prepare_session(spec, &config).unwrap();
+    let base = Arc::clone(session.base().unwrap());
+    let ram_base = base.snapshot().ram_base();
+    assert!(session.machine().bus().ram_shares_base(ram_base), "capture is the live base");
+    assert_eq!(session.overlay_bytes(), 0);
+    assert_eq!(session.base_bytes(), 4_718_592, "4 MiB of RAM plus its shadow plane");
+    assert_eq!(twin.base_hash(), Some(base.hash()), "independent boots hash alike");
+    assert_eq!(state_hash(&session, base.snapshot()), base.hash());
+
+    // One RAM byte, captured through an emu-level snapshot.
+    let (ram, size) = session.machine().bus().ram_range();
+    for offset in [0, size / 2, size - 1] {
+        let machine = session.machine_mut();
+        let byte = machine.read_mem(ram + offset, 1).unwrap();
+        machine.write_mem(ram + offset, 1, byte ^ 0x01).unwrap();
+        let diverged = machine.snapshot();
+        assert_ne!(state_hash(&session, &diverged), base.hash(), "RAM byte at {offset:#x}");
+        session.reset().unwrap();
+        assert_eq!(state_hash(&session, &session.machine().snapshot()), base.hash());
+    }
+
+    // One shadow granule (8 bytes of RAM), RAM itself unchanged.
+    let start = u64::from(ram + size / 2);
+    let poison = InitStep::Poison { start, end: start + 8, kind: PoisonKind::Invalid };
+    session.runtime_mut().apply_init(&InitProgram { steps: vec![poison] });
+    assert_ne!(state_hash(&session, base.snapshot()), base.hash(), "shadow granule");
+    session.reset().unwrap();
+    assert_eq!(state_hash(&session, base.snapshot()), base.hash());
+}
+
+/// With UMSAN attached the uninit plane is part of the base hash: an
+/// 8-byte allocation marks its bytes uninitialized and changes it. UMSAN
+/// is the only sanitizer here, so the shadow plane stays as booted.
+#[test]
+fn ready_point_hash_covers_the_uninit_plane() {
+    let image =
+        os::emblinux::build(&BuildOptions::new(Arch::Armv).san(SanMode::SanCall), &[]).unwrap();
+    let specs = [distill(UMSAN_HEADER).unwrap()];
+    let artifacts = probe(&image, ProbeMode::CompileTime, None).unwrap();
+    let mut session = Session::new(&image, &specs, &artifacts).unwrap();
+    session.run_to_ready(200_000_000).unwrap();
+    let base = Arc::clone(session.base().unwrap());
+    let ram_size = session.machine().bus().ram_range().1 as usize;
+    assert_eq!(base.base_bytes(), ram_size + 2 * ram_size / 8, "RAM, shadow and uninit plane");
+    let mut nop = ExecProgram::new();
+    nop.push(sys::NOP, &[]);
+    session.run_program(&nop, 20_000_000).unwrap();
+    assert_eq!(state_hash(&session, base.snapshot()), base.hash(), "no plane touched");
+    let mut alloc = ExecProgram::new();
+    alloc.push(sys::ALLOC, &[8, 0]);
+    session.run_program(&alloc, 20_000_000).unwrap();
+    assert_ne!(state_hash(&session, base.snapshot()), base.hash(), "uninit granule");
+    session.reset().unwrap();
+    assert_eq!(state_hash(&session, base.snapshot()), base.hash());
 }
 
 /// Adoption is hash-guarded: a base prepared from different firmware is
