@@ -10,7 +10,6 @@
 //! | `table3` | new-bug classification per firmware (campaigns) |
 //! | `table4` | the full new-bug listing (campaigns) |
 //! | `figure2` | runtime-overhead comparison |
-//! | `profile_overhead` | the disabled-profiler ≤2% overhead gate |
 //!
 //! plus the Criterion bench `fig2_overhead`. This library holds the
 //! machinery those binaries (and the integration tests) share.
@@ -18,7 +17,6 @@
 pub mod ablation;
 pub mod baseline;
 pub mod overhead;
-pub mod profile_overhead;
 pub mod table2;
 pub mod table34;
 pub mod throughput;
@@ -27,7 +25,6 @@ pub use baseline::{memory_regressions, parse_baseline, regressions, BaselinePoin
 pub use overhead::{
     measure_configuration, OverheadConfig, OverheadRow, OverheadWorkload, SanitizerChoice,
 };
-pub use profile_overhead::{measure_profile_overhead, ProfileOverheadReport, ProfileWorkload};
 pub use table2::{replay_known_bug, replay_table2, DetectionRow};
 pub use table34::{run_all_campaigns, CampaignSummary};
 pub use throughput::{

@@ -254,7 +254,6 @@ pub struct EmbsanRuntime {
     /// after the log caps out).
     degradations: Vec<Degradation>,
     tracer: embsan_obs::Tracer,
-    profiler: embsan_obs::Profiler,
 }
 
 /// Cap on the retained [`Degradation`] event log; beyond this only the
@@ -319,7 +318,6 @@ impl EmbsanRuntime {
             health: HealthCounters::default(),
             degradations: Vec::new(),
             tracer: embsan_obs::Tracer::disabled(),
-            profiler: embsan_obs::Profiler::disabled(),
         })
     }
 
@@ -328,12 +326,6 @@ impl EmbsanRuntime {
     /// machine and the runtime so the event stream is totally ordered.
     pub fn set_tracer(&mut self, tracer: embsan_obs::Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Attaches a hot-path profiler charging shadow checks to
-    /// [`embsan_obs::Phase::Check`].
-    pub fn set_profiler(&mut self, profiler: embsan_obs::Profiler) {
-        self.profiler = profiler;
     }
 
     /// The attach mode.
@@ -692,27 +684,6 @@ impl EmbsanRuntime {
     /// the written value, not the pre-store memory content.
     #[allow(clippy::too_many_arguments)]
     fn check_access(
-        &mut self,
-        cpu: &mut CpuView<'_>,
-        addr: u32,
-        size: u8,
-        is_write: bool,
-        atomic: bool,
-        pc: u32,
-        written_value: Option<u32>,
-    ) -> HookAction {
-        // Branch around scope construction: a ProfileScope local would add
-        // drop glue to every exit edge of this multi-million-calls-per-
-        // second function, which alone breaks the ≤2% disabled budget.
-        if self.profiler.is_enabled() {
-            let _scope = self.profiler.scope(embsan_obs::Phase::Check);
-            return self.check_access_inner(cpu, addr, size, is_write, atomic, pc, written_value);
-        }
-        self.check_access_inner(cpu, addr, size, is_write, atomic, pc, written_value)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn check_access_inner(
         &mut self,
         cpu: &mut CpuView<'_>,
         addr: u32,

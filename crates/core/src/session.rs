@@ -132,7 +132,6 @@ pub struct Session {
     ready_done: bool,
     baseline: Option<Arc<BaseImage>>,
     tracer: embsan_obs::Tracer,
-    profiler: embsan_obs::Profiler,
     programs_run: u64,
     /// Per-program retired-instruction distribution (log2 buckets); a pure
     /// function of the executed programs, so it snapshots deterministically.
@@ -185,7 +184,6 @@ impl Session {
             ready_done: false,
             baseline: None,
             tracer: embsan_obs::Tracer::disabled(),
-            profiler: embsan_obs::Profiler::disabled(),
             programs_run: 0,
             exec_insns: embsan_obs::Histogram::new(),
         };
@@ -253,18 +251,6 @@ impl Session {
     /// Drains buffered trace events with absolute clock tags.
     pub fn take_trace(&mut self) -> Vec<embsan_obs::Event> {
         self.tracer.drain()
-    }
-
-    /// Attaches hot-path profilers (translate/execute/check) and returns
-    /// the shared handle. The timers start disabled; call
-    /// [`embsan_obs::Profiler::set_enabled`] on the returned handle. A
-    /// no-op handle unless the `embsan-obs/profile` feature is compiled.
-    pub fn enable_profiling(&mut self) -> embsan_obs::Profiler {
-        let profiler = embsan_obs::Profiler::attached();
-        self.machine.set_profiler(profiler.clone());
-        self.runtime.set_profiler(profiler.clone());
-        self.profiler = profiler.clone();
-        profiler
     }
 
     /// Copies this session's counters into `registry`.
@@ -526,16 +512,18 @@ impl Session {
     }
 
     /// Like [`Session::run_program`], with a passive observer hook attached
-    /// (receiving the same events; its verdicts are ignored).
+    /// (receiving the same events; its verdicts are ignored). Generic over
+    /// the observer, so the dispatch loop reaches it and the sanitizer
+    /// runtime by static dispatch.
     ///
     /// # Errors
     ///
     /// [`SessionError::NotReady`] before [`Session::run_to_ready`].
-    pub fn run_program_observed(
+    pub fn run_program_observed<O: embsan_emu::ExecHook + ?Sized>(
         &mut self,
         program: &ExecProgram,
         budget: u64,
-        observer: &mut dyn embsan_emu::ExecHook,
+        observer: &mut O,
     ) -> Result<ExecOutcome, SessionError> {
         if !self.ready_done {
             return Err(SessionError::NotReady);

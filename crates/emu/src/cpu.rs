@@ -153,8 +153,6 @@ pub struct CpuView<'a> {
     pub cpu: &'a mut Cpu,
     /// The machine's memory bus.
     pub bus: &'a mut Bus,
-    /// Global retired-instruction counter across all vCPUs.
-    pub global_retired: u64,
 }
 
 impl<'a> CpuView<'a> {

@@ -102,43 +102,55 @@ impl ExecHook for NullHook {}
 /// The `primary` hook's [`HookAction`]s steer execution; the `observer`
 /// sees the same events but its verdicts are ignored. Used to attach a
 /// fuzzer's coverage collector alongside the sanitizer runtime.
-pub struct CombinedHook<'a> {
+///
+/// Generic over both hooks, so a machine run with concrete types reaches
+/// each by static dispatch and a hook's empty default method (say, the
+/// sanitizer runtime's `block_enter`) compiles away; either may still be a
+/// `dyn ExecHook`.
+pub struct CombinedHook<'a, P: ?Sized, O: ?Sized> {
     /// The controlling hook.
-    pub primary: &'a mut dyn ExecHook,
+    pub primary: &'a mut P,
     /// The passive observer.
-    pub observer: &'a mut dyn ExecHook,
+    pub observer: &'a mut O,
 }
 
-impl ExecHook for CombinedHook<'_> {
+impl<P: ExecHook + ?Sized, O: ExecHook + ?Sized> ExecHook for CombinedHook<'_, P, O> {
+    #[inline]
     fn mem_access(&mut self, cpu: &mut CpuView<'_>, access: &MemAccess) -> HookAction {
         let _ = self.observer.mem_access(cpu, access);
         self.primary.mem_access(cpu, access)
     }
 
+    #[inline]
     fn hypercall(&mut self, cpu: &mut CpuView<'_>, nr: u32) -> HookAction {
         let _ = self.observer.hypercall(cpu, nr);
         self.primary.hypercall(cpu, nr)
     }
 
+    #[inline]
     fn block_enter(&mut self, cpu: &mut CpuView<'_>, pc: u32) {
         self.observer.block_enter(cpu, pc);
         self.primary.block_enter(cpu, pc);
     }
 
+    #[inline]
     fn call(&mut self, cpu: &mut CpuView<'_>, target: u32, ret_to: u32) {
         self.observer.call(cpu, target, ret_to);
         self.primary.call(cpu, target, ret_to);
     }
 
+    #[inline]
     fn ret(&mut self, cpu: &mut CpuView<'_>, target: u32) {
         self.observer.ret(cpu, target);
         self.primary.ret(cpu, target);
     }
 
+    #[inline]
     fn stall_expired(&mut self, cpu: &mut CpuView<'_>, token: u64) {
         self.primary.stall_expired(cpu, token);
     }
 
+    #[inline]
     fn fault(&mut self, cpu: &mut CpuView<'_>, fault: Fault) {
         self.observer.fault(cpu, fault);
         self.primary.fault(cpu, fault);

@@ -11,7 +11,7 @@ use crate::fault::{ArmedPlan, FaultKind, FaultPlan, HangClass, InjectionStats};
 use crate::hook::{ExecHook, HookAction, HookConfig};
 use crate::isa::{Insn, Reg};
 use crate::profile::ArchProfile;
-use crate::translate::{call_kind, Block, BlockCache, CallKind};
+use crate::translate::{call_kind, Block, BlockCache, CallKind, TranslatedOp};
 
 /// Why a [`Machine::run`] call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +164,6 @@ impl MachineBuilder {
             fault_plan: None,
             injection_stats: InjectionStats::default(),
             tracer: embsan_obs::Tracer::disabled(),
-            profiler: embsan_obs::Profiler::disabled(),
         })
     }
 }
@@ -188,7 +187,6 @@ pub struct Machine {
     fault_plan: Option<ArmedPlan>,
     injection_stats: InjectionStats,
     tracer: embsan_obs::Tracer,
-    profiler: embsan_obs::Profiler,
 }
 
 impl std::fmt::Debug for Machine {
@@ -317,13 +315,6 @@ impl Machine {
         &self.tracer
     }
 
-    /// Attaches a hot-path profiler (shared with the translation cache).
-    /// A no-op unless the `embsan-obs/profile` feature is compiled in.
-    pub fn set_profiler(&mut self, profiler: embsan_obs::Profiler) {
-        self.cache.set_profiler(profiler.clone());
-        self.profiler = profiler;
-    }
-
     /// Injects every armed fault whose trigger time has passed.
     fn apply_due_faults(&mut self) {
         let Some(plan) = self.fault_plan.as_mut() else {
@@ -389,9 +380,9 @@ impl Machine {
     /// # Errors
     ///
     /// Propagates [`Machine::run_resume`] errors (currently none).
-    pub fn classify_hang(
+    pub fn classify_hang<H: ExecHook + ?Sized>(
         &mut self,
-        hook: &mut dyn ExecHook,
+        hook: &mut H,
         slices: u32,
         slice_budget: u64,
     ) -> Result<HangClass, EmuError> {
@@ -487,7 +478,11 @@ impl Machine {
     ///
     /// This method currently never fails; the `Result` is kept for API
     /// stability. Guest faults are reported via [`RunExit::Faulted`].
-    pub fn run(&mut self, hook: &mut dyn ExecHook, budget: u64) -> Result<RunExit, EmuError> {
+    pub fn run<H: ExecHook + ?Sized>(
+        &mut self,
+        hook: &mut H,
+        budget: u64,
+    ) -> Result<RunExit, EmuError> {
         for cpu in &mut self.cpus {
             cpu.parked = false;
         }
@@ -500,9 +495,9 @@ impl Machine {
     /// # Errors
     ///
     /// See [`Machine::run`].
-    pub fn run_resume(
+    pub fn run_resume<H: ExecHook + ?Sized>(
         &mut self,
-        hook: &mut dyn ExecHook,
+        hook: &mut H,
         budget: u64,
     ) -> Result<RunExit, EmuError> {
         let mut executed_total: u64 = 0;
@@ -521,11 +516,7 @@ impl Machine {
                     if until <= self.global_retired {
                         self.cpus[idx].stalled_until = None;
                         let token = self.cpus[idx].stall_token;
-                        let mut view = CpuView {
-                            cpu: &mut self.cpus[idx],
-                            bus: &mut self.bus,
-                            global_retired: self.global_retired,
-                        };
+                        let mut view = CpuView { cpu: &mut self.cpus[idx], bus: &mut self.bus };
                         hook.stall_expired(&mut view, token);
                     }
                 }
@@ -590,10 +581,7 @@ impl Machine {
 
             let quantum = self.quantum.min(budget - executed_total);
             let before = self.cpus[idx].retired;
-            let exit = {
-                let _scope = self.profiler.scope(embsan_obs::Phase::Execute);
-                self.run_quantum(idx, hook, quantum)
-            };
+            let exit = self.run_quantum(idx, hook, quantum);
             let ran = self.cpus[idx].retired - before;
             executed_total += ran;
             self.lifetime_retired += ran;
@@ -637,7 +625,12 @@ impl Machine {
     }
 
     /// Executes up to `quantum` instructions on vCPU `idx`.
-    fn run_quantum(&mut self, idx: usize, hook: &mut dyn ExecHook, quantum: u64) -> QuantumExit {
+    fn run_quantum<H: ExecHook + ?Sized>(
+        &mut self,
+        idx: usize,
+        hook: &mut H,
+        quantum: u64,
+    ) -> QuantumExit {
         if self.cpus[idx].wedged {
             // A stuck core keeps fetching and retiring the same instruction
             // without architectural progress: burn the quantum so the hang
@@ -651,158 +644,150 @@ impl Machine {
         // instantiation folds every probe branch and the breakpoint scan out
         // of the hot loop entirely.
         if cfg == HookConfig::none() && self.breakpoints.is_empty() {
-            self.run_quantum_spec::<false>(idx, hook, cfg, quantum)
+            self.run_quantum_spec::<false, H>(idx, hook, cfg, quantum)
         } else {
-            self.run_quantum_spec::<true>(idx, hook, cfg, quantum)
+            self.run_quantum_spec::<true, H>(idx, hook, cfg, quantum)
         }
     }
 
     /// The dispatch loop, monomorphized over `ARMED` (any probes or
-    /// breakpoints live). `ARMED == false` implies `cfg` is
+    /// breakpoints live) and over the hook type, so probes reach the hook
+    /// by static dispatch. `ARMED == false` implies `cfg` is
     /// [`HookConfig::none`] and no breakpoints are set.
-    fn run_quantum_spec<const ARMED: bool>(
+    ///
+    /// The machine's borrows are split once per quantum into a
+    /// [`Quantum`], whose retire counters are exact only where something
+    /// can observe them (see [`Quantum::sync`]).
+    fn run_quantum_spec<const ARMED: bool, H: ExecHook + ?Sized>(
         &mut self,
         idx: usize,
-        hook: &mut dyn ExecHook,
+        hook: &mut H,
         cfg: HookConfig,
         quantum: u64,
     ) -> QuantumExit {
-        let mut executed: u64 = 0;
-        // The block run by the previous dispatch in this quantum: its chain
-        // slots resolve repeat control transfers without a cache lookup. The
-        // first dispatch of a quantum always goes through the cache, so
-        // chains never outlive a reconfiguration (each quantum re-enters
-        // through the active generation).
-        let mut prev: Option<Rc<Block>> = None;
-        while executed < quantum {
-            let pc = self.cpus[idx].pc;
-            let chained = prev.as_ref().and_then(|p| p.chained(pc));
-            let block = match chained {
-                Some(block) => {
-                    self.cache.note_chained();
-                    block
-                }
-                None => {
-                    let block = match self.cache.lookup(&self.bus, pc) {
-                        Ok(block) => block,
-                        Err(fault) => {
-                            self.deliver_fault(idx, hook, fault);
-                            return QuantumExit::Fault(fault, pc);
-                        }
-                    };
-                    if let Some(p) = &prev {
-                        // Merge across an unconditional direct jump into a
-                        // superblock; where the merge does not apply, chain
-                        // the edge so its next occurrence skips the lookup.
-                        // (This dispatch still runs the unmerged block; the
-                        // superblock serves future dispatches of its start.)
-                        if !ends_with_jump_to(p, pc) || self.cache.try_promote(p, pc).is_none() {
-                            p.install_chain(pc, &block);
-                        }
+        let Machine { cpus, bus, cache, tracer, breakpoints, skip_bp_once, global_retired, .. } =
+            self;
+        let cpu = &mut cpus[idx];
+        let mut q = Quantum {
+            idx,
+            cpu_base: cpu.retired,
+            global_base: *global_retired,
+            executed: 0,
+            cpu,
+            bus,
+            tracer,
+            global_retired,
+        };
+        let exit = 'quantum: {
+            // The block run by the previous dispatch in this quantum: its
+            // chain slots resolve repeat control transfers without a cache
+            // lookup. The first dispatch of a quantum always goes through
+            // the cache, so chains never outlive a reconfiguration (each
+            // quantum re-enters through the active generation).
+            let mut prev: Option<Rc<Block>> = None;
+            while q.executed < quantum {
+                let pc = q.cpu.pc;
+                let chained = prev.as_ref().and_then(|p| p.chained(pc));
+                let block = match chained {
+                    Some(block) => {
+                        cache.note_chained();
+                        block
                     }
-                    block
-                }
-            };
-            if ARMED && cfg.blocks {
-                self.tracer.record(embsan_obs::EventKind::ProbeFire {
-                    probe: embsan_obs::ProbeKind::Block,
-                    pc,
-                });
-                let mut view = CpuView {
-                    cpu: &mut self.cpus[idx],
-                    bus: &mut self.bus,
-                    global_retired: self.global_retired,
+                    None => {
+                        let block = match cache.lookup(&*q.bus, pc) {
+                            Ok(block) => block,
+                            Err(fault) => {
+                                hook.fault(&mut q.view(), fault);
+                                break 'quantum QuantumExit::Fault(fault, pc);
+                            }
+                        };
+                        if let Some(p) = &prev {
+                            // Merge across an unconditional direct jump into
+                            // a superblock; where the merge does not apply,
+                            // chain the edge so its next occurrence skips
+                            // the lookup. (This dispatch still runs the
+                            // unmerged block; the superblock serves future
+                            // dispatches of its start.)
+                            if !ends_with_jump_to(p, pc) || cache.try_promote(p, pc).is_none() {
+                                p.install_chain(pc, &block);
+                            }
+                        }
+                        block
+                    }
                 };
-                hook.block_enter(&mut view, pc);
-            }
-            let mut i = 0;
-            while i < block.ops.len() {
-                let op = &block.ops[i];
-                // Host breakpoints (checked only when any are set).
-                if ARMED && !self.breakpoints.is_empty() && self.breakpoints.contains(&op.pc) {
-                    if self.skip_bp_once == Some((idx, op.pc)) {
-                        self.skip_bp_once = None;
-                    } else {
-                        self.cpus[idx].pc = op.pc;
-                        return QuantumExit::Breakpoint(op.pc);
-                    }
+                if ARMED && cfg.blocks {
+                    q.block_enter(hook, pc);
                 }
-                let step = self.exec_op::<ARMED>(
-                    idx,
-                    hook,
-                    cfg,
-                    op.insn,
-                    op.pc,
-                    op.probe_mem,
-                    op.probe_call,
-                );
-                executed += 1;
-                self.cpus[idx].retired += 1;
-                self.global_retired += 1;
-                match step {
-                    Step::Next => {
-                        self.cpus[idx].pc = op.pc.wrapping_add(4);
-                    }
-                    Step::Jump(target) => {
-                        self.cpus[idx].pc = target;
-                        if has_seam(&block, i + 1, target) {
-                            // The merged continuation starts at the next op.
-                            // Replicate the unmerged flow exactly: quantum
-                            // expiry first (pc already points at the seam),
-                            // then the block-entry probe, then fall through
-                            // into the continuation's ops.
-                            if executed >= quantum {
-                                return QuantumExit::Continue;
-                            }
-                            self.cache.note_chained();
-                            if ARMED && cfg.blocks {
-                                self.tracer.record(embsan_obs::EventKind::ProbeFire {
-                                    probe: embsan_obs::ProbeKind::Block,
-                                    pc: target,
-                                });
-                                let mut view = CpuView {
-                                    cpu: &mut self.cpus[idx],
-                                    bus: &mut self.bus,
-                                    global_retired: self.global_retired,
-                                };
-                                hook.block_enter(&mut view, target);
-                            }
-                            i += 1;
-                            continue;
+                let mut i = 0;
+                while i < block.ops.len() {
+                    let op = &block.ops[i];
+                    // Host breakpoints (checked only when any are set).
+                    if ARMED && !breakpoints.is_empty() && breakpoints.contains(&op.pc) {
+                        if *skip_bp_once == Some((idx, op.pc)) {
+                            *skip_bp_once = None;
+                        } else {
+                            q.cpu.pc = op.pc;
+                            break 'quantum QuantumExit::Breakpoint(op.pc);
                         }
-                        break; // control flow leaves the block
                     }
-                    Step::Halt(code) => return QuantumExit::Halt(code),
-                    Step::Park => {
-                        self.cpus[idx].pc = op.pc.wrapping_add(4);
-                        self.cpus[idx].parked = true;
-                        return QuantumExit::Parked;
+                    let step = exec_op::<ARMED, H>(&mut q, hook, cfg, op);
+                    q.executed += 1;
+                    match step {
+                        Step::Next => q.cpu.pc = op.pc.wrapping_add(4),
+                        Step::Jump(target) => {
+                            q.cpu.pc = target;
+                            if has_seam(&block, i + 1, target) {
+                                // The merged continuation starts at the next
+                                // op. Replicate the unmerged flow exactly:
+                                // quantum expiry first (pc already points at
+                                // the seam), then the block-entry probe, then
+                                // fall through into the continuation's ops.
+                                if q.executed >= quantum {
+                                    break 'quantum QuantumExit::Continue;
+                                }
+                                cache.note_chained();
+                                if ARMED && cfg.blocks {
+                                    q.block_enter(hook, target);
+                                }
+                                i += 1;
+                                continue;
+                            }
+                            break; // control flow leaves the block
+                        }
+                        Step::Halt(code) => break 'quantum QuantumExit::Halt(code),
+                        Step::Park => {
+                            q.cpu.pc = op.pc.wrapping_add(4);
+                            q.cpu.parked = true;
+                            break 'quantum QuantumExit::Parked;
+                        }
+                        Step::Stall { instrs, token } => {
+                            q.cpu.pc = op.pc.wrapping_add(4);
+                            q.cpu.stalled_until = Some(q.global_base + q.executed + instrs);
+                            q.cpu.stall_token = token;
+                            break 'quantum QuantumExit::Stalled;
+                        }
+                        Step::Stopped => {
+                            q.cpu.pc = op.pc; // re-execute on resume
+                            break 'quantum QuantumExit::Stopped;
+                        }
+                        Step::Fault(fault) => {
+                            q.cpu.pc = op.pc;
+                            hook.fault(&mut q.view(), fault);
+                            break 'quantum QuantumExit::Fault(fault, op.pc);
+                        }
                     }
-                    Step::Stall { instrs, token } => {
-                        self.cpus[idx].pc = op.pc.wrapping_add(4);
-                        self.cpus[idx].stalled_until = Some(self.global_retired + instrs);
-                        self.cpus[idx].stall_token = token;
-                        return QuantumExit::Stalled;
+                    if q.executed >= quantum {
+                        // Quantum expired mid-block; pc already advanced.
+                        break 'quantum QuantumExit::Continue;
                     }
-                    Step::Stopped => {
-                        self.cpus[idx].pc = op.pc; // re-execute on resume
-                        return QuantumExit::Stopped;
-                    }
-                    Step::Fault(fault) => {
-                        self.cpus[idx].pc = op.pc;
-                        self.deliver_fault(idx, hook, fault);
-                        return QuantumExit::Fault(fault, op.pc);
-                    }
+                    i += 1;
                 }
-                if executed >= quantum {
-                    // Quantum expired mid-block; pc already advanced.
-                    return QuantumExit::Continue;
-                }
-                i += 1;
+                prev = Some(block);
             }
-            prev = Some(block);
-        }
-        QuantumExit::Continue
+            QuantumExit::Continue
+        };
+        q.sync();
+        exit
     }
 
     /// Drains the interrupt raise/ack/deferred events devices recorded and
@@ -831,303 +816,299 @@ impl Machine {
             self.tracer.record(kind);
         }
     }
+}
 
-    fn deliver_fault(&mut self, idx: usize, hook: &mut dyn ExecHook, fault: Fault) {
-        let mut view = CpuView {
-            cpu: &mut self.cpus[idx],
-            bus: &mut self.bus,
-            global_retired: self.global_retired,
-        };
-        hook.fault(&mut view, fault);
+/// What one scheduling quantum runs on: the borrows of the machine split
+/// once per quantum, and the quantum's retire accounting.
+///
+/// Instructions retired in the quantum are counted in `executed` only;
+/// `cpu.retired` and the machine's counter stay at their quantum-entry
+/// values until [`Quantum::sync`] writes them back. That happens exactly
+/// where they can be observed: before every hook call (through
+/// [`Quantum::view`]), before a guest read of [`Csr::Cycle`], and when the
+/// quantum exits.
+struct Quantum<'m> {
+    idx: usize,
+    /// `cpu.retired` and the machine's retire counter at quantum entry.
+    cpu_base: u64,
+    global_base: u64,
+    /// Instructions retired in this quantum so far.
+    executed: u64,
+    cpu: &'m mut Cpu,
+    bus: &'m mut Bus,
+    tracer: &'m embsan_obs::Tracer,
+    global_retired: &'m mut u64,
+}
+
+impl Quantum<'_> {
+    /// Makes `cpu.retired` and the machine's retire counter exact.
+    #[inline(always)]
+    fn sync(&mut self) {
+        self.cpu.retired = self.cpu_base + self.executed;
+        *self.global_retired = self.global_base + self.executed;
     }
 
-    /// Executes a single translated op on vCPU `idx`. Monomorphized over
-    /// `ARMED` like [`Machine::run_quantum_spec`]: the unarmed instantiation
-    /// compiles every probe branch out.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_op<const ARMED: bool>(
-        &mut self,
-        idx: usize,
-        hook: &mut dyn ExecHook,
-        cfg: HookConfig,
-        insn: Insn,
-        pc: u32,
-        probe_mem: bool,
-        probe_call: bool,
-    ) -> Step {
-        // Split borrows once for the whole op.
-        let Machine { cpus, bus, global_retired, tracer, .. } = self;
-        let cpu = &mut cpus[idx];
-        let r = |cpu: &Cpu, reg: Reg| cpu.regs.read(reg);
+    /// The hook-facing view of the vCPU, its retire counter made exact.
+    #[inline(always)]
+    fn view(&mut self) -> CpuView<'_> {
+        self.sync();
+        CpuView { cpu: &mut *self.cpu, bus: &mut *self.bus }
+    }
 
-        macro_rules! alu {
-            ($cpu:expr, $rd:expr, $val:expr) => {{
-                let value = $val;
-                $cpu.regs.write($rd, value);
-                Step::Next
-            }};
+    #[inline(always)]
+    fn probe_fire(&self, probe: embsan_obs::ProbeKind, pc: u32) {
+        self.tracer.record(embsan_obs::EventKind::ProbeFire { probe, pc });
+    }
+
+    #[inline(always)]
+    fn block_enter<H: ExecHook + ?Sized>(&mut self, hook: &mut H, pc: u32) {
+        self.probe_fire(embsan_obs::ProbeKind::Block, pc);
+        hook.block_enter(&mut self.view(), pc);
+    }
+}
+
+/// Executes one translated op on the quantum's vCPU. Monomorphized over
+/// `ARMED` like [`Machine::run_quantum_spec`]: the unarmed instantiation
+/// compiles every probe branch out.
+#[inline(always)]
+fn exec_op<const ARMED: bool, H: ExecHook + ?Sized>(
+    q: &mut Quantum<'_>,
+    hook: &mut H,
+    cfg: HookConfig,
+    op: &TranslatedOp,
+) -> Step {
+    let TranslatedOp { insn, pc, probe_mem, probe_call } = *op;
+
+    macro_rules! r {
+        ($reg:expr) => {
+            q.cpu.regs.read($reg)
+        };
+    }
+    macro_rules! alu {
+        ($rd:expr, $val:expr) => {{
+            let value = $val;
+            q.cpu.regs.write($rd, value);
+            Step::Next
+        }};
+    }
+
+    match insn {
+        Insn::Add { rd, rs1, rs2 } => alu!(rd, r!(rs1).wrapping_add(r!(rs2))),
+        Insn::Sub { rd, rs1, rs2 } => alu!(rd, r!(rs1).wrapping_sub(r!(rs2))),
+        Insn::And { rd, rs1, rs2 } => alu!(rd, r!(rs1) & r!(rs2)),
+        Insn::Or { rd, rs1, rs2 } => alu!(rd, r!(rs1) | r!(rs2)),
+        Insn::Xor { rd, rs1, rs2 } => alu!(rd, r!(rs1) ^ r!(rs2)),
+        Insn::Sll { rd, rs1, rs2 } => alu!(rd, r!(rs1) << (r!(rs2) & 31)),
+        Insn::Srl { rd, rs1, rs2 } => alu!(rd, r!(rs1) >> (r!(rs2) & 31)),
+        Insn::Sra { rd, rs1, rs2 } => alu!(rd, ((r!(rs1) as i32) >> (r!(rs2) & 31)) as u32),
+        Insn::Mul { rd, rs1, rs2 } => alu!(rd, r!(rs1).wrapping_mul(r!(rs2))),
+        Insn::Mulh { rd, rs1, rs2 } => {
+            alu!(rd, ((u64::from(r!(rs1)) * u64::from(r!(rs2))) >> 32) as u32)
+        }
+        Insn::Divu { rd, rs1, rs2 } => alu!(rd, r!(rs1).checked_div(r!(rs2)).unwrap_or(u32::MAX)),
+        Insn::Remu { rd, rs1, rs2 } => {
+            let d = r!(rs2);
+            alu!(rd, if d == 0 { r!(rs1) } else { r!(rs1) % d })
+        }
+        Insn::Slt { rd, rs1, rs2 } => alu!(rd, u32::from((r!(rs1) as i32) < (r!(rs2) as i32))),
+        Insn::Sltu { rd, rs1, rs2 } => alu!(rd, u32::from(r!(rs1) < r!(rs2))),
+
+        Insn::Addi { rd, rs1, imm } => alu!(rd, r!(rs1).wrapping_add(imm as u32)),
+        // Logical immediates are zero-extended (see the codec docs).
+        Insn::Andi { rd, rs1, imm } => alu!(rd, r!(rs1) & (imm as u32 & 0xFFF)),
+        Insn::Ori { rd, rs1, imm } => alu!(rd, r!(rs1) | (imm as u32 & 0xFFF)),
+        Insn::Xori { rd, rs1, imm } => alu!(rd, r!(rs1) ^ (imm as u32 & 0xFFF)),
+        Insn::Slli { rd, rs1, shamt } => alu!(rd, r!(rs1) << shamt),
+        Insn::Srli { rd, rs1, shamt } => alu!(rd, r!(rs1) >> shamt),
+        Insn::Srai { rd, rs1, shamt } => alu!(rd, ((r!(rs1) as i32) >> shamt) as u32),
+        Insn::Slti { rd, rs1, imm } => alu!(rd, u32::from((r!(rs1) as i32) < imm)),
+        Insn::Sltiu { rd, rs1, imm } => alu!(rd, u32::from(r!(rs1) < imm as u32)),
+        Insn::Lui { rd, imm } => alu!(rd, imm),
+        Insn::Auipc { rd, imm } => alu!(rd, pc.wrapping_add(imm)),
+
+        Insn::Lb { rd, rs1, imm }
+        | Insn::Lbu { rd, rs1, imm }
+        | Insn::Lh { rd, rs1, imm }
+        | Insn::Lhu { rd, rs1, imm }
+        | Insn::Lw { rd, rs1, imm } => {
+            let addr = r!(rs1).wrapping_add(imm as u32);
+            let (size, sign) = match insn {
+                Insn::Lb { .. } => (1u8, true),
+                Insn::Lbu { .. } => (1, false),
+                Insn::Lh { .. } => (2, true),
+                Insn::Lhu { .. } => (2, false),
+                _ => (4, false),
+            };
+            if ARMED && probe_mem {
+                q.probe_fire(embsan_obs::ProbeKind::Mem, pc);
+                let access =
+                    MemAccess { addr, size, kind: MemKind::Read, value: 0, pc, cpu: q.idx };
+                match hook.mem_access(&mut q.view(), &access) {
+                    HookAction::Continue => {}
+                    HookAction::Stop => return Step::Stopped,
+                    HookAction::Stall { instrs, token } => {
+                        // Perform the access, then open the stall window.
+                        return match load_value(q.bus, addr, size, sign, pc) {
+                            Ok(value) => {
+                                q.cpu.regs.write(rd, value);
+                                Step::Stall { instrs, token }
+                            }
+                            Err(fault) => Step::Fault(fault),
+                        };
+                    }
+                }
+            }
+            match load_value(q.bus, addr, size, sign, pc) {
+                Ok(value) => alu!(rd, value),
+                Err(fault) => Step::Fault(fault),
+            }
         }
 
-        match insn {
-            Insn::Add { rd, rs1, rs2 } => alu!(cpu, rd, r(cpu, rs1).wrapping_add(r(cpu, rs2))),
-            Insn::Sub { rd, rs1, rs2 } => alu!(cpu, rd, r(cpu, rs1).wrapping_sub(r(cpu, rs2))),
-            Insn::And { rd, rs1, rs2 } => alu!(cpu, rd, r(cpu, rs1) & r(cpu, rs2)),
-            Insn::Or { rd, rs1, rs2 } => alu!(cpu, rd, r(cpu, rs1) | r(cpu, rs2)),
-            Insn::Xor { rd, rs1, rs2 } => alu!(cpu, rd, r(cpu, rs1) ^ r(cpu, rs2)),
-            Insn::Sll { rd, rs1, rs2 } => alu!(cpu, rd, r(cpu, rs1) << (r(cpu, rs2) & 31)),
-            Insn::Srl { rd, rs1, rs2 } => alu!(cpu, rd, r(cpu, rs1) >> (r(cpu, rs2) & 31)),
-            Insn::Sra { rd, rs1, rs2 } => {
-                alu!(cpu, rd, ((r(cpu, rs1) as i32) >> (r(cpu, rs2) & 31)) as u32)
-            }
-            Insn::Mul { rd, rs1, rs2 } => alu!(cpu, rd, r(cpu, rs1).wrapping_mul(r(cpu, rs2))),
-            Insn::Mulh { rd, rs1, rs2 } => {
-                alu!(cpu, rd, ((u64::from(r(cpu, rs1)) * u64::from(r(cpu, rs2))) >> 32) as u32)
-            }
-            Insn::Divu { rd, rs1, rs2 } => {
-                alu!(cpu, rd, r(cpu, rs1).checked_div(r(cpu, rs2)).unwrap_or(u32::MAX))
-            }
-            Insn::Remu { rd, rs1, rs2 } => {
-                let d = r(cpu, rs2);
-                alu!(cpu, rd, if d == 0 { r(cpu, rs1) } else { r(cpu, rs1) % d })
-            }
-            Insn::Slt { rd, rs1, rs2 } => {
-                alu!(cpu, rd, u32::from((r(cpu, rs1) as i32) < (r(cpu, rs2) as i32)))
-            }
-            Insn::Sltu { rd, rs1, rs2 } => alu!(cpu, rd, u32::from(r(cpu, rs1) < r(cpu, rs2))),
-
-            Insn::Addi { rd, rs1, imm } => {
-                alu!(cpu, rd, r(cpu, rs1).wrapping_add(imm as u32))
-            }
-            // Logical immediates are zero-extended (see the codec docs).
-            Insn::Andi { rd, rs1, imm } => alu!(cpu, rd, r(cpu, rs1) & (imm as u32 & 0xFFF)),
-            Insn::Ori { rd, rs1, imm } => alu!(cpu, rd, r(cpu, rs1) | (imm as u32 & 0xFFF)),
-            Insn::Xori { rd, rs1, imm } => alu!(cpu, rd, r(cpu, rs1) ^ (imm as u32 & 0xFFF)),
-            Insn::Slli { rd, rs1, shamt } => alu!(cpu, rd, r(cpu, rs1) << shamt),
-            Insn::Srli { rd, rs1, shamt } => alu!(cpu, rd, r(cpu, rs1) >> shamt),
-            Insn::Srai { rd, rs1, shamt } => {
-                alu!(cpu, rd, ((r(cpu, rs1) as i32) >> shamt) as u32)
-            }
-            Insn::Slti { rd, rs1, imm } => {
-                alu!(cpu, rd, u32::from((r(cpu, rs1) as i32) < imm))
-            }
-            Insn::Sltiu { rd, rs1, imm } => {
-                alu!(cpu, rd, u32::from(r(cpu, rs1) < imm as u32))
-            }
-            Insn::Lui { rd, imm } => alu!(cpu, rd, imm),
-            Insn::Auipc { rd, imm } => alu!(cpu, rd, pc.wrapping_add(imm)),
-
-            Insn::Lb { rd, rs1, imm }
-            | Insn::Lbu { rd, rs1, imm }
-            | Insn::Lh { rd, rs1, imm }
-            | Insn::Lhu { rd, rs1, imm }
-            | Insn::Lw { rd, rs1, imm } => {
-                let addr = r(cpu, rs1).wrapping_add(imm as u32);
-                let (size, sign) = match insn {
-                    Insn::Lb { .. } => (1u8, true),
-                    Insn::Lbu { .. } => (1, false),
-                    Insn::Lh { .. } => (2, true),
-                    Insn::Lhu { .. } => (2, false),
-                    _ => (4, false),
+        Insn::Sb { rs2, rs1, imm } | Insn::Sh { rs2, rs1, imm } | Insn::Sw { rs2, rs1, imm } => {
+            let addr = r!(rs1).wrapping_add(imm as u32);
+            let size = match insn {
+                Insn::Sb { .. } => 1u8,
+                Insn::Sh { .. } => 2,
+                _ => 4,
+            };
+            let value = r!(rs2)
+                & match size {
+                    1 => 0xFF,
+                    2 => 0xFFFF,
+                    _ => u32::MAX,
                 };
-                if ARMED && probe_mem {
-                    tracer.record(embsan_obs::EventKind::ProbeFire {
-                        probe: embsan_obs::ProbeKind::Mem,
-                        pc,
-                    });
-                    let access =
-                        MemAccess { addr, size, kind: MemKind::Read, value: 0, pc, cpu: idx };
-                    let mut view = CpuView { cpu, bus, global_retired: *global_retired };
-                    match hook.mem_access(&mut view, &access) {
-                        HookAction::Continue => {}
-                        HookAction::Stop => return Step::Stopped,
-                        HookAction::Stall { instrs, token } => {
-                            // Perform the access, then open the stall window.
-                            return match load_value(bus, addr, size, sign, pc) {
-                                Ok(value) => {
-                                    cpu.regs.write(rd, value);
-                                    Step::Stall { instrs, token }
-                                }
-                                Err(fault) => Step::Fault(fault),
-                            };
-                        }
-                    }
-                }
-                match load_value(bus, addr, size, sign, pc) {
-                    Ok(value) => alu!(cpu, rd, value),
-                    Err(fault) => Step::Fault(fault),
+            let mut stall: Option<(u64, u64)> = None;
+            if ARMED && probe_mem {
+                q.probe_fire(embsan_obs::ProbeKind::Mem, pc);
+                let access = MemAccess { addr, size, kind: MemKind::Write, value, pc, cpu: q.idx };
+                match hook.mem_access(&mut q.view(), &access) {
+                    HookAction::Continue => {}
+                    HookAction::Stop => return Step::Stopped,
+                    HookAction::Stall { instrs, token } => stall = Some((instrs, token)),
                 }
             }
+            match q.bus.write_at(addr, size, value, pc) {
+                Ok(()) => match stall {
+                    Some((instrs, token)) => Step::Stall { instrs, token },
+                    None => Step::Next,
+                },
+                Err(fault) => Step::Fault(fault),
+            }
+        }
 
-            Insn::Sb { rs2, rs1, imm }
-            | Insn::Sh { rs2, rs1, imm }
-            | Insn::Sw { rs2, rs1, imm } => {
-                let addr = r(cpu, rs1).wrapping_add(imm as u32);
-                let size = match insn {
-                    Insn::Sb { .. } => 1u8,
-                    Insn::Sh { .. } => 2,
-                    _ => 4,
+        Insn::AmoAddW { rd, rs1, rs2 } | Insn::AmoSwpW { rd, rs1, rs2 } => {
+            let addr = r!(rs1);
+            let operand = r!(rs2);
+            if ARMED && probe_mem {
+                q.probe_fire(embsan_obs::ProbeKind::Mem, pc);
+                let access = MemAccess {
+                    addr,
+                    size: 4,
+                    kind: MemKind::AtomicRmw,
+                    value: operand,
+                    pc,
+                    cpu: q.idx,
                 };
-                let value = r(cpu, rs2)
-                    & match size {
-                        1 => 0xFF,
-                        2 => 0xFFFF,
-                        _ => u32::MAX,
-                    };
-                let mut stall: Option<(u64, u64)> = None;
-                if ARMED && probe_mem {
-                    tracer.record(embsan_obs::EventKind::ProbeFire {
-                        probe: embsan_obs::ProbeKind::Mem,
-                        pc,
-                    });
-                    let access =
-                        MemAccess { addr, size, kind: MemKind::Write, value, pc, cpu: idx };
-                    let mut view = CpuView { cpu, bus, global_retired: *global_retired };
-                    match hook.mem_access(&mut view, &access) {
-                        HookAction::Continue => {}
-                        HookAction::Stop => return Step::Stopped,
-                        HookAction::Stall { instrs, token } => stall = Some((instrs, token)),
+                match hook.mem_access(&mut q.view(), &access) {
+                    HookAction::Continue => {}
+                    HookAction::Stop => return Step::Stopped,
+                    // Atomic ops never stall: a stall window inside a
+                    // lock operation would deadlock the guest.
+                    HookAction::Stall { .. } => {}
+                }
+            }
+            let old = match q.bus.read_at(addr, 4, pc) {
+                Ok(value) => value,
+                Err(fault) => return Step::Fault(fault),
+            };
+            let new = match insn {
+                Insn::AmoAddW { .. } => old.wrapping_add(operand),
+                _ => operand,
+            };
+            if let Err(fault) = q.bus.write_at(addr, 4, new, pc) {
+                return Step::Fault(fault);
+            }
+            alu!(rd, old)
+        }
+
+        Insn::Beq { rs1, rs2, offset } => branch(pc, offset, r!(rs1) == r!(rs2)),
+        Insn::Bne { rs1, rs2, offset } => branch(pc, offset, r!(rs1) != r!(rs2)),
+        Insn::Blt { rs1, rs2, offset } => branch(pc, offset, (r!(rs1) as i32) < (r!(rs2) as i32)),
+        Insn::Bltu { rs1, rs2, offset } => branch(pc, offset, r!(rs1) < r!(rs2)),
+        Insn::Bge { rs1, rs2, offset } => branch(pc, offset, (r!(rs1) as i32) >= (r!(rs2) as i32)),
+        Insn::Bgeu { rs1, rs2, offset } => branch(pc, offset, r!(rs1) >= r!(rs2)),
+
+        Insn::Jal { rd, offset } => {
+            let target = pc.wrapping_add(offset as u32);
+            let ret_to = pc.wrapping_add(4);
+            q.cpu.regs.write(rd, ret_to);
+            if ARMED && probe_call && cfg.calls {
+                q.probe_fire(embsan_obs::ProbeKind::Call, pc);
+                hook.call(&mut q.view(), target, ret_to);
+            }
+            Step::Jump(target)
+        }
+        Insn::Jalr { rd, rs1, imm } => {
+            let target = r!(rs1).wrapping_add(imm as u32) & !3;
+            let ret_to = pc.wrapping_add(4);
+            q.cpu.regs.write(rd, ret_to);
+            if ARMED && probe_call && cfg.calls {
+                match call_kind(&insn) {
+                    CallKind::Call => {
+                        q.probe_fire(embsan_obs::ProbeKind::Call, pc);
+                        hook.call(&mut q.view(), target, ret_to);
                     }
-                }
-                match bus.write_at(addr, size, value, pc) {
-                    Ok(()) => match stall {
-                        Some((instrs, token)) => Step::Stall { instrs, token },
-                        None => Step::Next,
-                    },
-                    Err(fault) => Step::Fault(fault),
-                }
-            }
-
-            Insn::AmoAddW { rd, rs1, rs2 } | Insn::AmoSwpW { rd, rs1, rs2 } => {
-                let addr = r(cpu, rs1);
-                let operand = r(cpu, rs2);
-                if ARMED && probe_mem {
-                    tracer.record(embsan_obs::EventKind::ProbeFire {
-                        probe: embsan_obs::ProbeKind::Mem,
-                        pc,
-                    });
-                    let access = MemAccess {
-                        addr,
-                        size: 4,
-                        kind: MemKind::AtomicRmw,
-                        value: operand,
-                        pc,
-                        cpu: idx,
-                    };
-                    let mut view = CpuView { cpu, bus, global_retired: *global_retired };
-                    match hook.mem_access(&mut view, &access) {
-                        HookAction::Continue => {}
-                        HookAction::Stop => return Step::Stopped,
-                        // Atomic ops never stall: a stall window inside a
-                        // lock operation would deadlock the guest.
-                        HookAction::Stall { .. } => {}
+                    CallKind::Ret => {
+                        q.probe_fire(embsan_obs::ProbeKind::Ret, pc);
+                        hook.ret(&mut q.view(), target);
                     }
+                    CallKind::Neither => {}
                 }
-                let old = match bus.read_at(addr, 4, pc) {
-                    Ok(value) => value,
-                    Err(fault) => return Step::Fault(fault),
-                };
-                let new = match insn {
-                    Insn::AmoAddW { .. } => old.wrapping_add(operand),
-                    _ => operand,
-                };
-                if let Err(fault) = bus.write_at(addr, 4, new, pc) {
-                    return Step::Fault(fault);
-                }
-                alu!(cpu, rd, old)
             }
+            Step::Jump(target)
+        }
 
-            Insn::Beq { rs1, rs2, offset } => branch(cpu, pc, offset, r(cpu, rs1) == r(cpu, rs2)),
-            Insn::Bne { rs1, rs2, offset } => branch(cpu, pc, offset, r(cpu, rs1) != r(cpu, rs2)),
-            Insn::Blt { rs1, rs2, offset } => {
-                branch(cpu, pc, offset, (r(cpu, rs1) as i32) < (r(cpu, rs2) as i32))
+        Insn::Ecall { code } => {
+            let tvec = q.cpu.csr(Csr::Tvec);
+            if tvec == 0 {
+                return Step::Fault(Fault::NoTrapVector { pc });
             }
-            Insn::Bltu { rs1, rs2, offset } => branch(cpu, pc, offset, r(cpu, rs1) < r(cpu, rs2)),
-            Insn::Bge { rs1, rs2, offset } => {
-                branch(cpu, pc, offset, (r(cpu, rs1) as i32) >= (r(cpu, rs2) as i32))
-            }
-            Insn::Bgeu { rs1, rs2, offset } => branch(cpu, pc, offset, r(cpu, rs1) >= r(cpu, rs2)),
+            q.cpu.set_csr(Csr::Epc, pc.wrapping_add(4));
+            q.cpu.set_csr(Csr::Cause, u32::from(code));
+            Step::Jump(tvec)
+        }
+        Insn::Eret => Step::Jump(q.cpu.csr(Csr::Epc)),
 
-            Insn::Jal { rd, offset } => {
-                let target = pc.wrapping_add(offset as u32);
-                let ret_to = pc.wrapping_add(4);
-                cpu.regs.write(rd, ret_to);
-                if ARMED && probe_call && cfg.calls {
-                    tracer.record(embsan_obs::EventKind::ProbeFire {
-                        probe: embsan_obs::ProbeKind::Call,
-                        pc,
-                    });
-                    let mut view = CpuView { cpu, bus, global_retired: *global_retired };
-                    hook.call(&mut view, target, ret_to);
+        Insn::Hyper { nr } => {
+            if ARMED && cfg.hypercalls {
+                q.probe_fire(embsan_obs::ProbeKind::Hypercall, pc);
+                match hook.hypercall(&mut q.view(), nr) {
+                    HookAction::Continue => Step::Next,
+                    HookAction::Stop => Step::Stopped,
+                    HookAction::Stall { instrs, token } => Step::Stall { instrs, token },
                 }
-                Step::Jump(target)
-            }
-            Insn::Jalr { rd, rs1, imm } => {
-                let target = r(cpu, rs1).wrapping_add(imm as u32) & !3;
-                let ret_to = pc.wrapping_add(4);
-                let kind = call_kind(&insn);
-                cpu.regs.write(rd, ret_to);
-                if ARMED && probe_call && cfg.calls {
-                    match kind {
-                        CallKind::Call => tracer.record(embsan_obs::EventKind::ProbeFire {
-                            probe: embsan_obs::ProbeKind::Call,
-                            pc,
-                        }),
-                        CallKind::Ret => tracer.record(embsan_obs::EventKind::ProbeFire {
-                            probe: embsan_obs::ProbeKind::Ret,
-                            pc,
-                        }),
-                        CallKind::Neither => {}
-                    }
-                    let mut view = CpuView { cpu, bus, global_retired: *global_retired };
-                    match kind {
-                        CallKind::Call => hook.call(&mut view, target, ret_to),
-                        CallKind::Ret => hook.ret(&mut view, target),
-                        CallKind::Neither => {}
-                    }
-                }
-                Step::Jump(target)
-            }
-
-            Insn::Ecall { code } => {
-                let tvec = cpu.csr(Csr::Tvec);
-                if tvec == 0 {
-                    return Step::Fault(Fault::NoTrapVector { pc });
-                }
-                cpu.set_csr(Csr::Epc, pc.wrapping_add(4));
-                cpu.set_csr(Csr::Cause, u32::from(code));
-                Step::Jump(tvec)
-            }
-            Insn::Eret => Step::Jump(cpu.csr(Csr::Epc)),
-
-            Insn::Hyper { nr } => {
-                if ARMED && cfg.hypercalls {
-                    tracer.record(embsan_obs::EventKind::ProbeFire {
-                        probe: embsan_obs::ProbeKind::Hypercall,
-                        pc,
-                    });
-                    let mut view = CpuView { cpu, bus, global_retired: *global_retired };
-                    match hook.hypercall(&mut view, nr) {
-                        HookAction::Continue => Step::Next,
-                        HookAction::Stop => Step::Stopped,
-                        HookAction::Stall { instrs, token } => Step::Stall { instrs, token },
-                    }
-                } else {
-                    Step::Next
-                }
-            }
-
-            Insn::Csrr { rd, idx: csr } => alu!(cpu, rd, cpu.csr_read(csr)),
-            Insn::Csrw { rs1, idx: csr } => {
-                let value = r(cpu, rs1);
-                cpu.csr_write(csr, value);
+            } else {
                 Step::Next
             }
-
-            Insn::Halt { code } => Step::Halt(code),
-            Insn::Wfi => Step::Park,
-            Insn::Nop | Insn::Fence => Step::Next,
-            Insn::Brk => Step::Fault(Fault::Breakpoint { pc }),
         }
+
+        Insn::Csrr { rd, idx: csr } => {
+            // The cycle CSR reads the vCPU's retire counter.
+            if csr == Csr::Cycle as u16 {
+                q.sync();
+            }
+            alu!(rd, q.cpu.csr_read(csr))
+        }
+        Insn::Csrw { rs1, idx: csr } => {
+            let value = r!(rs1);
+            q.cpu.csr_write(csr, value);
+            Step::Next
+        }
+
+        Insn::Halt { code } => Step::Halt(code),
+        Insn::Wfi => Step::Park,
+        Insn::Nop | Insn::Fence => Step::Next,
+        Insn::Brk => Step::Fault(Fault::Breakpoint { pc }),
     }
 }
 
@@ -1164,7 +1145,7 @@ fn load_value(bus: &mut Bus, addr: u32, size: u8, sign: bool, pc: u32) -> Result
     })
 }
 
-fn branch(_cpu: &mut Cpu, pc: u32, offset: i32, taken: bool) -> Step {
+fn branch(pc: u32, offset: i32, taken: bool) -> Step {
     if taken {
         Step::Jump(pc.wrapping_add(offset as u32))
     } else {

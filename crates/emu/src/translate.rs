@@ -236,7 +236,6 @@ pub struct BlockCache {
     clock: u64,
     stats: CacheStats,
     tracer: embsan_obs::Tracer,
-    profiler: embsan_obs::Profiler,
 }
 
 impl Default for BlockCache {
@@ -276,7 +275,6 @@ impl BlockCache {
             clock: 0,
             stats: CacheStats::default(),
             tracer: embsan_obs::Tracer::disabled(),
-            profiler: embsan_obs::Profiler::disabled(),
         }
     }
 
@@ -284,12 +282,6 @@ impl BlockCache {
     /// generation hit/evict, flush).
     pub fn set_tracer(&mut self, tracer: embsan_obs::Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Attaches a profiler charging translation work to
-    /// [`embsan_obs::Phase::Translate`].
-    pub fn set_profiler(&mut self, profiler: embsan_obs::Profiler) {
-        self.profiler = profiler;
     }
 
     /// The hook configuration the active generation was translated under.
@@ -438,10 +430,7 @@ impl BlockCache {
             self.front[slot] = Some(Rc::clone(&block));
             return Ok(block);
         }
-        let block = {
-            let _scope = self.profiler.scope(embsan_obs::Phase::Translate);
-            Rc::new(translate_block(bus, pc, gen.config)?)
-        };
+        let block = Rc::new(translate_block(bus, pc, gen.config)?);
         self.stats.translations += 1;
         self.tracer.record(embsan_obs::EventKind::BlockTranslate { pc });
         if gen.blocks.len() >= MAX_BLOCKS_PER_GENERATION {

@@ -1,13 +1,11 @@
-//! Observability layer for the EMBSAN stack: structured event tracing, a
-//! typed metrics registry and feature-gated hot-path profilers.
+//! Observability layer for the EMBSAN stack: structured event tracing and
+//! a typed metrics registry.
 //!
 //! The layer is threaded through emu → core → fuzz → cli and is designed
 //! around two constraints:
 //!
 //! - **zero cost when disabled** — every subsystem holds a [`Tracer`]
-//!   handle that is a single `Option` check when tracing is off, and the
-//!   [`profile`] timers compile to unit structs unless the `profile`
-//!   cargo feature is enabled;
+//!   handle that is a single inlined `Option` check when tracing is off;
 //! - **determinism** — events are tagged with the machine's
 //!   lifetime-retired instruction clock plus a per-buffer sequence number,
 //!   so a trace is a pure function of guest execution. The
@@ -25,14 +23,12 @@
 pub mod event;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod trace;
 
 pub use event::{AllocOp, Event, EventKind, ProbeKind};
 pub use metrics::{
     Histogram, MetricClass, MetricEntry, MetricValue, MetricsRegistry, MetricsSnapshot,
 };
-pub use profile::{Phase, ProfileReport, Profiler};
 pub use trace::{
     jsonl_header, trace_to_chrome, trace_to_jsonl, MergedTrace, TraceConfig, TraceSpan, Tracer,
 };

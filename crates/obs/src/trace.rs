@@ -165,20 +165,18 @@ impl Tracer {
     }
 
     /// Records `kind` if enabled and selected by the configuration.
-    #[inline]
+    ///
+    /// Only the enabled test is inlined at the call site; with tracing off
+    /// the event is never built, and nothing is called or dropped.
+    #[inline(always)]
     pub fn record(&self, kind: EventKind) {
-        if let Some(buffer) = &self.inner {
-            let mut buffer = buffer.borrow_mut();
-            if !buffer.config.wants(&kind) {
-                return;
-            }
-            if buffer.events.len() >= buffer.config.capacity {
-                buffer.events.pop_front();
-                buffer.dropped += 1;
-            }
-            let event = Event { clock: buffer.clock, seq: buffer.seq, kind };
-            buffer.seq += 1;
-            buffer.events.push_back(event);
+        match &self.inner {
+            Some(buffer) => record_into(buffer, kind),
+            // Dropping `kind` would call the enum's out-of-line drop glue
+            // even for the plain-data events of the hot path; only the
+            // variants that own a `String` need it.
+            None if owns_heap(&kind) => drop(kind),
+            None => std::mem::forget(kind),
         }
     }
 
@@ -221,6 +219,48 @@ impl Tracer {
             })
             .collect()
     }
+}
+
+/// Whether dropping `kind` frees memory. Exhaustive, so a new variant
+/// must say.
+#[inline(always)]
+fn owns_heap(kind: &EventKind) -> bool {
+    match kind {
+        EventKind::Report { .. } | EventKind::DegradedMode { .. } => true,
+        EventKind::BlockTranslate { .. }
+        | EventKind::CacheGenerationHit { .. }
+        | EventKind::CacheGenerationEvict { .. }
+        | EventKind::CacheFlush
+        | EventKind::ProbeFire { .. }
+        | EventKind::ShadowCheck { .. }
+        | EventKind::AllocIntercept { .. }
+        | EventKind::WatchdogTrip { .. }
+        | EventKind::FaultInjected { .. }
+        | EventKind::EpochMerge { .. }
+        | EventKind::JobLifecycle { .. }
+        | EventKind::RetryBackoff { .. }
+        | EventKind::IrqRaised { .. }
+        | EventKind::IrqAcked { .. }
+        | EventKind::DeferredCall { .. } => false,
+    }
+}
+
+/// The body of [`Tracer::record`], kept out of line (and off the hot path)
+/// so the disabled test is all a call site inlines.
+#[cold]
+#[inline(never)]
+fn record_into(buffer: &RefCell<TraceBuffer>, kind: EventKind) {
+    let mut buffer = buffer.borrow_mut();
+    if !buffer.config.wants(&kind) {
+        return;
+    }
+    if buffer.events.len() >= buffer.config.capacity {
+        buffer.events.pop_front();
+        buffer.dropped += 1;
+    }
+    let event = Event { clock: buffer.clock, seq: buffer.seq, kind };
+    buffer.seq += 1;
+    buffer.events.push_back(event);
 }
 
 /// One iteration's worth of trace events, tagged with the iteration index.

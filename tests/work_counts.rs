@@ -1,0 +1,183 @@
+//! Work-count pin: a fixed-seed short campaign per OS flavour must do
+//! exactly the same simulated work, count for count.
+//!
+//! Wall time on a shared host moves by several percent between runs, so a
+//! speed change to the emulator or the runtime cannot prove by timing alone
+//! that it left the guest's work alone. These counts can: the ready-point
+//! hash, retired guest instructions, translations and translation-cache
+//! traffic, shadow checks (and how many fell to the slow path) and the
+//! fuzzer's outcome are pure functions of (firmware, seed). A change that
+//! moves one of them says so and re-blesses it; a change that only makes
+//! the same work faster leaves every value below untouched.
+//!
+//! Cache hits and chained dispatches describe how the dispatcher reached
+//! the translated code, not what the guest did: a change to dispatch alone
+//! may move those two and re-bless them. Every other count is guest work
+//! and may not move without a change in guest behaviour.
+
+use embsan::fuzz::campaign::{paper_strategy, prepare_session, CampaignConfig};
+use embsan::fuzz::{descriptions_for, Fuzzer, FuzzerConfig};
+use embsan::guestos::firmware_by_name;
+
+/// Iterations per campaign: enough to pass boot, grow a corpus and reach
+/// the seeded bugs' neighbourhood, small enough for a debug test build.
+const ITERATIONS: u64 = 400;
+const SEED: u64 = 0x00C0_FFEE;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counts {
+    base_hash: u64,
+    /// Guest instructions retired by the campaign (after the ready point).
+    retired: u64,
+    /// Translation-cache counters since session creation (boot included).
+    translations: u64,
+    hits: u64,
+    chained_dispatches: u64,
+    superblocks_formed: u64,
+    /// Shadow checks since session creation, and those on the slow path.
+    checks: u64,
+    slow_path_checks: u64,
+    execs: u64,
+    corpus: usize,
+    coverage: usize,
+    findings: usize,
+}
+
+fn measure(firmware: &str) -> Counts {
+    let spec = firmware_by_name(firmware).unwrap();
+    let (mut session, dict) = prepare_session(spec, &CampaignConfig::default()).unwrap();
+    let base_hash = session.base_hash().unwrap();
+    let before = session.machine().lifetime_retired();
+    let mut config = FuzzerConfig::new(paper_strategy(spec), SEED);
+    config.program_budget = CampaignConfig::default().program_budget;
+    let mut fuzzer = Fuzzer::new(&mut session, descriptions_for(spec), dict, config);
+    fuzzer.run(ITERATIONS).unwrap();
+    let stats = fuzzer.stats();
+    drop(fuzzer);
+    let cache = session.cache_stats();
+    Counts {
+        base_hash,
+        retired: session.machine().lifetime_retired() - before,
+        translations: cache.translations,
+        hits: cache.hits,
+        chained_dispatches: cache.chained_dispatches,
+        superblocks_formed: cache.superblocks_formed,
+        checks: session.runtime().checks_performed(),
+        slow_path_checks: session.runtime().slow_path_checks(),
+        execs: stats.execs,
+        corpus: stats.corpus,
+        coverage: stats.coverage,
+        findings: stats.findings,
+    }
+}
+
+fn check(firmware: &str, expected: Counts) {
+    let actual = measure(firmware);
+    assert_eq!(actual, expected, "{firmware}: work counts moved (blessed value on the right)");
+}
+
+#[test]
+fn openwrt_armvirt_work_counts() {
+    check(
+        "OpenWRT-armvirt",
+        Counts {
+            base_hash: 0xA826589E86F4D196,
+            retired: 385_318,
+            translations: 126,
+            hits: 114_803,
+            chained_dispatches: 89_128,
+            superblocks_formed: 6,
+            checks: 10_594,
+            slow_path_checks: 838,
+            execs: 400,
+            corpus: 5,
+            coverage: 115,
+            findings: 2,
+        },
+    );
+}
+
+#[test]
+fn openharmony_stm32mp1_work_counts() {
+    check(
+        "OpenHarmony-stm32mp1",
+        Counts {
+            base_hash: 0x968F2CFF25180DDA,
+            retired: 12_126_140,
+            translations: 79,
+            hits: 3_792_416,
+            chained_dispatches: 3_764_438,
+            superblocks_formed: 14,
+            checks: 44_000,
+            slow_path_checks: 0,
+            execs: 400,
+            corpus: 10,
+            coverage: 58,
+            findings: 0,
+        },
+    );
+}
+
+#[test]
+fn infinitime_work_counts() {
+    check(
+        "InfiniTime",
+        Counts {
+            base_hash: 0xDE0DFE01BF044D3E,
+            retired: 5_382_434,
+            translations: 91,
+            hits: 1_533_613,
+            chained_dispatches: 1_512_317,
+            superblocks_formed: 13,
+            checks: 47_234,
+            slow_path_checks: 9,
+            execs: 400,
+            corpus: 10,
+            coverage: 69,
+            findings: 1,
+        },
+    );
+}
+
+#[test]
+fn tp_link_wdr7660_work_counts() {
+    check(
+        "TP-Link WDR-7660",
+        Counts {
+            base_hash: 0x7935FA0EB6A0428B,
+            retired: 9_167_892,
+            translations: 67,
+            hits: 2_800_242,
+            chained_dispatches: 2_770_646,
+            superblocks_formed: 11,
+            checks: 46_800,
+            slow_path_checks: 0,
+            execs: 400,
+            corpus: 6,
+            coverage: 48,
+            findings: 0,
+        },
+    );
+}
+
+/// The 2-vCPU firmware: KCSAN stall windows and round-robin quanta.
+#[test]
+fn openwrt_x86_64_smp_work_counts() {
+    check(
+        "OpenWRT-x86_64",
+        Counts {
+            base_hash: 0x494080BCC6500FA0,
+            retired: 392_381,
+            translations: 129,
+            hits: 116_865,
+            chained_dispatches: 90_376,
+            superblocks_formed: 6,
+            checks: 11_008,
+            slow_path_checks: 838,
+            execs: 400,
+            corpus: 5,
+            coverage: 112,
+            findings: 2,
+        },
+    );
+}
