@@ -170,18 +170,10 @@ impl EngineSelection {
     }
 }
 
-/// Process-wide state identity counter; see [`RuntimeState`].
-static NEXT_STATE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
 /// Opaque snapshot of the runtime's mutable sanitizer state, captured at
 /// the ready point and restored on every fuzzer reset.
 #[derive(Clone)]
 pub struct RuntimeState {
-    /// Unique per-capture identity (clones share it — their contents are
-    /// identical). Keys the dirty-bounded fast path of
-    /// [`EmbsanRuntime::restore_state_from`], mirroring snapshot ids in the
-    /// emulator.
-    id: u64,
     shadow: ShadowMemory,
     kasan: Option<KasanEngine>,
     kcsan: Option<KcsanEngine>,
@@ -206,6 +198,11 @@ impl RuntimeState {
     pub(crate) fn plane_bytes(&self) -> usize {
         self.shadow.plane_bytes() + self.umsan.as_ref().map_or(0, UmsanEngine::plane_bytes)
     }
+
+    /// Pages the big sanitizer planes hold (shared-base accounting).
+    pub(crate) fn plane_resident_pages(&self) -> usize {
+        self.shadow.resident_pages() + self.umsan.as_ref().map_or(0, UmsanEngine::resident_pages)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -228,10 +225,6 @@ pub struct EmbsanRuntime {
     ready_seen: bool,
     pending: Vec<Vec<PendingCall>>,
     suppress: Vec<u32>,
-    /// Id of the last [`RuntimeState`] fully installed; while it matches the
-    /// state being restored, the shadow/uninit planes need only dirty-page
-    /// copies.
-    state_baseline: Option<u64>,
     stall_watch: HashMap<u64, (u32, u8)>,
     reports: Vec<Report>,
     new_reports: Vec<Report>,
@@ -306,7 +299,6 @@ impl EmbsanRuntime {
             ready_seen: false,
             pending: vec![Vec::new(); cpus],
             suppress: vec![0; cpus],
-            state_baseline: None,
             stall_watch: HashMap::new(),
             reports: Vec::new(),
             new_reports: Vec::new(),
@@ -554,19 +546,11 @@ impl EmbsanRuntime {
         self.shadow.overlay_bytes() + self.umsan.as_ref().map_or(0, UmsanEngine::overlay_bytes)
     }
 
-    /// Forgets which [`RuntimeState`] was installed last, forcing the next
-    /// [`EmbsanRuntime::restore_state_from`] onto the full-copy path. Used
-    /// when a session adopts a base image captured by another worker.
-    pub fn clear_state_baseline(&mut self) {
-        self.state_baseline = None;
-    }
-
     /// Captures the mutable sanitizer state (for fuzzer resets paired with
     /// machine snapshots). Reports and dedup history are *not* part of the
     /// state — they accumulate across resets.
     pub fn state(&self) -> RuntimeState {
         RuntimeState {
-            id: NEXT_STATE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             shadow: self.shadow.clone(),
             kasan: self.kasan.clone(),
             kcsan: self.kcsan.clone(),
@@ -579,7 +563,6 @@ impl EmbsanRuntime {
 
     /// Restores state captured by [`EmbsanRuntime::state`].
     pub fn restore_state(&mut self, state: RuntimeState) {
-        self.state_baseline = Some(state.id);
         self.shadow = state.shadow;
         self.kasan = state.kasan;
         self.kcsan = state.kcsan;
@@ -588,27 +571,18 @@ impl EmbsanRuntime {
         self.suppress = state.suppress;
         self.active = state.active;
         self.stall_watch.clear();
-        // The moved-in planes carry the dirty bits of the *capture* moment;
-        // clear them so the invariant starts exact (stale marks would only
-        // cost extra copying, never correctness, but keep the map minimal).
-        self.shadow.clear_dirty();
-        if let Some(umsan) = &mut self.umsan {
-            umsan.clear_dirty();
-        }
     }
 
     /// Borrowing restore for the per-iteration reset path: installs
     /// `state` without consuming it, reusing this runtime's allocations.
-    /// When `state` is the same capture that was installed last time, the
-    /// big shadow/uninit planes are restored by copying only pages dirtied
-    /// since — O(touched state) instead of O(RAM).
+    /// When the live shadow/uninit planes fork the same frozen bases as
+    /// `state`'s, only the pages touched since the last restore are
+    /// reverted — O(touched state) instead of O(RAM).
     pub fn restore_state_from(&mut self, state: &RuntimeState) {
-        let fast = self.state_baseline == Some(state.id);
         if self.shadow.same_shape(&state.shadow) {
-            self.shadow.restore_from(&state.shadow, fast);
+            self.shadow.restore_from(&state.shadow);
         } else {
             self.shadow = state.shadow.clone();
-            self.shadow.clear_dirty();
         }
         match (&mut self.kasan, &state.kasan) {
             (Some(live), Some(base)) => live.restore_from(base),
@@ -619,14 +593,13 @@ impl EmbsanRuntime {
             (live, base) => *live = base.clone(),
         }
         match (&mut self.umsan, &state.umsan) {
-            (Some(live), Some(base)) if live.same_shape(base) => live.restore_from(base, fast),
+            (Some(live), Some(base)) if live.same_shape(base) => live.restore_from(base),
             (live, base) => *live = base.clone(),
         }
         self.pending.clone_from(&state.pending);
         self.suppress.clone_from(&state.suppress);
         self.active = state.active;
         self.stall_watch.clear();
-        self.state_baseline = Some(state.id);
     }
 
     /// Heuristic guest backtrace signature: scan the top of the stack for

@@ -6,15 +6,9 @@
 //! first-N-bytes addressable, `≥ 0x80` poisoned with a class code.
 
 use embsan_emu::cow::PagedBytes;
-use embsan_emu::dirty::DirtyPages;
 
 /// Shadow granule size in bytes.
 pub const GRANULE: u32 = 8;
-
-/// Page shift for shadow-plane dirty tracking: 4 KiB of shadow bytes cover
-/// 32 KiB of guest RAM, so poison churn between resets stays a handful of
-/// pages while the bitmap itself stays tiny.
-const SHADOW_PAGE_SHIFT: u32 = 12;
 
 /// Poison class codes (the high-bit range).
 pub mod code {
@@ -47,14 +41,12 @@ pub struct ShadowMemory {
     /// `bytes.len() * GRANULE`, precomputed: `covers` runs on the hot
     /// per-access check path and must not redo the division.
     span: u32,
-    /// The shadow plane: flat while booting, a copy-on-write fork of the
-    /// `Arc`-shared baseline plane once frozen at the ready point — forked
-    /// workers then pay only for the shadow pages their poison churn
-    /// touches.
+    /// The shadow plane: a sparse page table (4 KiB of shadow covers
+    /// 32 KiB of RAM) owning only the pages poison touched, and a
+    /// copy-on-write fork of the `Arc`-shared baseline plane once frozen at
+    /// the ready point — forked workers then pay only for the shadow pages
+    /// their poison churn touches.
     bytes: PagedBytes,
-    /// Shadow pages poisoned/unpoisoned since the last baseline restore;
-    /// lets reset copy back only touched shadow instead of the full plane.
-    dirty: DirtyPages,
 }
 
 impl ShadowMemory {
@@ -65,8 +57,7 @@ impl ShadowMemory {
         ShadowMemory {
             ram_base,
             span: granules as u32 * GRANULE,
-            bytes: PagedBytes::zeroed(granules, SHADOW_PAGE_SHIFT),
-            dirty: DirtyPages::new(granules, SHADOW_PAGE_SHIFT),
+            bytes: PagedBytes::zeroed(granules),
         }
     }
 
@@ -92,10 +83,9 @@ impl ShadowMemory {
         self.bytes.len()
     }
 
-    /// Marks every shadow page clean (after a full install of this plane
-    /// as the new baseline).
-    pub(crate) fn clear_dirty(&mut self) {
-        self.dirty.clear();
+    /// Pages the plane holds (shared-base accounting).
+    pub(crate) fn resident_pages(&self) -> usize {
+        self.bytes.resident_pages()
     }
 
     /// Whether `other` shadows the same region (restore-compat check).
@@ -103,23 +93,12 @@ impl ShadowMemory {
         self.ram_base == other.ram_base && self.span == other.span
     }
 
-    /// Restores this shadow to `baseline`'s contents. With `dirty_only` the
-    /// copy is bounded to pages poisoned/unpoisoned since the last restore
-    /// against this same baseline (the caller guarantees the invariant via
-    /// state ids); otherwise the full plane is copied. Either way the dirty
-    /// map ends clean, re-establishing the invariant.
-    pub(crate) fn restore_from(&mut self, baseline: &ShadowMemory, dirty_only: bool) {
+    /// Restores this shadow to `baseline`'s contents: O(pages touched since
+    /// the last restore) when both planes fork the same base and `baseline`
+    /// holds no private page, a table clone otherwise.
+    pub(crate) fn restore_from(&mut self, baseline: &ShadowMemory) {
         debug_assert!(self.same_shape(baseline));
-        if dirty_only {
-            // When both planes fork the same base this drops the touched
-            // overlay pages (O(dirty), frees memory); otherwise it copies
-            // the touched pages from the baseline view.
-            let bytes = &mut self.bytes;
-            self.dirty.drain(|page| bytes.restore_page_from(&baseline.bytes, page));
-        } else {
-            self.bytes = baseline.bytes.clone();
-            self.dirty.clear();
-        }
+        self.bytes.restore_from(&baseline.bytes);
     }
 
     /// Whether `addr` is covered by the shadow (i.e. inside RAM).
@@ -161,7 +140,6 @@ impl ShadowMemory {
         let clipped_end = end.min(self.limit());
         let from = self.index(start);
         let to = self.index(clipped_end - 1);
-        self.dirty.mark_range(from, to - from + 1);
         self.bytes.fill(from, to - from + 1, poison_code);
         end.saturating_sub(clipped_end).div_ceil(GRANULE)
     }
@@ -183,8 +161,6 @@ impl ShadowMemory {
         if tail != 0 && from + full < self.bytes.len() {
             *self.bytes.byte_mut(from + full) = tail;
         }
-        let touched_end = (from + full + usize::from(tail != 0)).clamp(from + 1, self.bytes.len());
-        self.dirty.mark_range(from, touched_end - from);
     }
 
     /// One past the highest shadowed address.

@@ -13,24 +13,18 @@
 //! is not propagated through register flow or copies — a read *is* the use.
 
 use embsan_emu::cow::PagedBytes;
-use embsan_emu::dirty::DirtyPages;
 
 use crate::report::{BugClass, ChunkInfo, Report};
-
-/// Page shift for uninit-plane dirty tracking: one 4 KiB page of uninit
-/// bits covers 32 KiB of RAM.
-const UNINIT_PAGE_SHIFT: u32 = 12;
 
 /// Per-byte initialization shadow over RAM, tracked only inside live heap
 /// chunks (everything else reads as initialized).
 #[derive(Debug, Clone)]
 pub struct UmsanEngine {
     ram_base: u32,
-    /// One bit per RAM byte: 1 = known-uninitialized. Flat while booting,
-    /// a copy-on-write fork of the shared baseline plane once frozen.
+    /// One bit per RAM byte: 1 = known-uninitialized. A sparse page table
+    /// (one 4 KiB page covers 32 KiB of RAM), a copy-on-write fork of the
+    /// shared baseline plane once frozen.
     uninit: PagedBytes,
-    /// Uninit-plane pages touched since the last baseline restore.
-    dirty: DirtyPages,
     /// Live chunk table (addr → size, alloc pc) for report context.
     chunks: std::collections::HashMap<u32, (u32, u32)>,
 }
@@ -41,8 +35,7 @@ impl UmsanEngine {
         let bytes = (ram_size as usize).div_ceil(8);
         UmsanEngine {
             ram_base,
-            uninit: PagedBytes::zeroed(bytes, UNINIT_PAGE_SHIFT),
-            dirty: DirtyPages::new(bytes, UNINIT_PAGE_SHIFT),
+            uninit: PagedBytes::zeroed(bytes),
             chunks: std::collections::HashMap::new(),
         }
     }
@@ -68,25 +61,19 @@ impl UmsanEngine {
         self.uninit.len()
     }
 
-    /// Restores this engine to `baseline`'s state. With `dirty_only` the
-    /// uninit-plane copy is bounded to pages touched since the last restore
-    /// against this same baseline (caller guarantees via state ids).
-    pub(crate) fn restore_from(&mut self, baseline: &UmsanEngine, dirty_only: bool) {
-        debug_assert_eq!(self.ram_base, baseline.ram_base);
-        debug_assert_eq!(self.uninit.len(), baseline.uninit.len());
-        if dirty_only {
-            let uninit = &mut self.uninit;
-            self.dirty.drain(|page| uninit.restore_page_from(&baseline.uninit, page));
-        } else {
-            self.uninit = baseline.uninit.clone();
-            self.dirty.clear();
-        }
-        self.chunks.clone_from(&baseline.chunks);
+    /// Pages the plane holds (shared-base accounting).
+    pub(crate) fn resident_pages(&self) -> usize {
+        self.uninit.resident_pages()
     }
 
-    /// Marks every uninit-plane page clean (after a full install).
-    pub(crate) fn clear_dirty(&mut self) {
-        self.dirty.clear();
+    /// Restores this engine to `baseline`'s state; the uninit plane as
+    /// [`PagedBytes::restore_from`] does, O(pages touched) against the
+    /// same frozen base.
+    pub(crate) fn restore_from(&mut self, baseline: &UmsanEngine) {
+        debug_assert_eq!(self.ram_base, baseline.ram_base);
+        debug_assert_eq!(self.uninit.len(), baseline.uninit.len());
+        self.uninit.restore_from(&baseline.uninit);
+        self.chunks.clone_from(&baseline.chunks);
     }
 
     /// Whether `other` covers the same RAM region (restore-compat check).
@@ -103,7 +90,6 @@ impl UmsanEngine {
             return;
         }
         let offset = (addr - self.ram_base) as usize;
-        self.dirty.mark(offset / 8);
         let byte = self.uninit.byte_mut(offset / 8);
         if value {
             *byte |= 1 << (offset % 8);

@@ -98,6 +98,7 @@ impl std::fmt::Debug for BaseImage {
         f.debug_struct("BaseImage")
             .field("hash", &format_args!("{:#018x}", self.hash))
             .field("base_bytes", &self.base_bytes())
+            .field("resident_pages", &self.resident_pages())
             .finish_non_exhaustive()
     }
 }
@@ -115,10 +116,16 @@ impl BaseImage {
         &self.snapshot
     }
 
-    /// Bytes the shared base holds (RAM image plus sanitizer planes) —
-    /// paid once per base, regardless of how many sessions fork from it.
+    /// Logical size of the base image: RAM plus sanitizer planes.
     pub fn base_bytes(&self) -> usize {
         self.snapshot.base_bytes() + self.state.plane_bytes()
+    }
+
+    /// Pages the base image holds (RAM plus sanitizer planes): the pages
+    /// with data at the ready point, paid once per base regardless of how
+    /// many sessions fork from it.
+    pub fn resident_pages(&self) -> usize {
+        self.snapshot.ram_base().resident_pages() + self.state.plane_resident_pages()
     }
 }
 
@@ -442,7 +449,7 @@ impl Session {
     }
 
     /// Private bytes this session holds beyond the shared base image: the
-    /// machine's dirty-page RAM overlay plus the sanitizer-plane overlays.
+    /// machine's private RAM pages plus the sanitizer planes' private pages.
     /// O(pages touched since the last reset) — the per-worker incremental
     /// memory cost under copy-on-write forking.
     pub fn overlay_bytes(&self) -> usize {
@@ -465,9 +472,6 @@ impl Session {
             return Ok(false);
         }
         self.baseline = Some(Arc::clone(base));
-        // Force the next restore onto the full-install path: the dirty-page
-        // fast path is only valid against the previously installed state.
-        self.runtime.clear_state_baseline();
         self.reset()?;
         Ok(true)
     }
@@ -482,8 +486,8 @@ impl Session {
         let Session { machine, runtime, baseline, .. } = self;
         let base = baseline.as_ref().ok_or(SessionError::NotReady)?;
         machine.restore(&base.snapshot)?;
-        // Borrowing restore: reuses the runtime's allocations and, after the
-        // first reset, copies only state dirtied since the last one.
+        // Borrowing restore: reuses the runtime's allocations and, once the
+        // live planes fork the base's, reverts only pages dirtied since.
         runtime.restore_state_from(&base.state);
         Ok(())
     }

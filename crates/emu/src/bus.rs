@@ -2,9 +2,8 @@
 
 use std::sync::Arc;
 
-use crate::cow::PagedBytes;
+use crate::cow::{FrozenPages, PagedBytes};
 use crate::device::DeviceSet;
-use crate::dirty::{DirtyPages, RAM_PAGE_SHIFT};
 use crate::error::Fault;
 use crate::mmio_free::ModelFreeMmio;
 use crate::profile::{ArchProfile, Endian};
@@ -81,10 +80,10 @@ pub struct Bus {
     endian: Endian,
     rom: Region,
     ram_base: u32,
-    /// Guest RAM: flat while booting, a copy-on-write fork of an
-    /// `Arc`-shared base image once a snapshot has been restored (see
-    /// [`crate::snapshot`]). Forked workers then hold only the overlay
-    /// pages they dirty — O(dirty), not O(RAM).
+    /// Guest RAM: a sparse page table that owns only the pages boot wrote,
+    /// and a copy-on-write fork of an `Arc`-shared base image once frozen or
+    /// restored (see [`crate::snapshot`]). Forked workers then hold only the
+    /// private pages they dirty — O(dirty), not O(RAM).
     ram: PagedBytes,
     mmio_base: u32,
     mmio_size: u32,
@@ -92,9 +91,6 @@ pub struct Bus {
     mmio_xor_reads: u32,
     /// Corruption mask XOR-ed into corrupted MMIO reads.
     mmio_xor: u32,
-    /// RAM pages written since the last snapshot restore; lets restore copy
-    /// only touched pages back from the pristine image.
-    ram_dirty: DirtyPages,
     /// When set, the platform device window is *withheld*: guest accesses
     /// to it are not dispatched to [`DeviceSet`] and instead fall through
     /// to the model-free region (which must cover the window) — the
@@ -120,12 +116,11 @@ impl Bus {
             endian: profile.endian,
             rom: Region { base: rom_base, data: rom },
             ram_base,
-            ram: PagedBytes::zeroed(ram_size as usize, RAM_PAGE_SHIFT),
+            ram: PagedBytes::zeroed(ram_size as usize),
             mmio_base: profile.mmio_base,
             mmio_size: profile.mmio_size,
             mmio_xor_reads: 0,
             mmio_xor: 0,
-            ram_dirty: DirtyPages::new(ram_size as usize, RAM_PAGE_SHIFT),
             mmio_withheld: false,
             devices: DeviceSet::new(rng_seed),
         }
@@ -316,7 +311,6 @@ impl Bus {
         if self.ram_contains(addr, len) {
             let off = (addr - self.ram_base) as usize;
             // Size-aligned stores of ≤4 bytes cannot straddle a page.
-            self.ram_dirty.mark(off);
             Self::store_int(self.ram.slice_mut(off, size as usize), self.endian, value);
             return Ok(());
         }
@@ -406,7 +400,6 @@ impl Bus {
         let len = bytes.len() as u32;
         if self.ram_contains(addr, len) {
             let off = (addr - self.ram_base) as usize;
-            self.ram_dirty.mark_range(off, bytes.len());
             self.ram.write_bytes(off, bytes);
             return Ok(());
         }
@@ -418,56 +411,44 @@ impl Bus {
     }
 
     /// The current RAM contents as an immutable shared image: the base
-    /// itself when RAM is a fork with an empty overlay, else a copy.
-    pub(crate) fn ram_image(&self) -> Arc<Vec<u8>> {
+    /// itself when no RAM page is private, else a copy of the private ones.
+    pub(crate) fn ram_image(&self) -> Arc<FrozenPages> {
         self.ram.share()
     }
 
     /// Freezes RAM in place as an immutable shared base and re-forks it
-    /// from that base (no byte copy when RAM is flat); every page is
-    /// clean afterwards.
+    /// from that base: the private pages move into the base with no byte
+    /// copy, and no page is private afterwards.
     pub(crate) fn freeze_ram(&mut self) {
         self.ram.freeze();
-        self.ram_dirty.clear();
     }
 
     /// Whether guest RAM currently forks from exactly `base`.
-    pub fn ram_shares_base(&self, base: &Arc<Vec<u8>>) -> bool {
+    pub fn ram_shares_base(&self, base: &Arc<FrozenPages>) -> bool {
         self.ram.shares_base(base)
     }
 
     /// Re-forks RAM from `base`: contents become byte-identical to the
-    /// base image with every page clean and no resident overlay. O(pages)
-    /// bookkeeping, no byte copies — rebasing to a different snapshot is
-    /// cheaper than the old full-copy restore.
-    pub(crate) fn adopt_ram(&mut self, base: &Arc<Vec<u8>>) {
+    /// base image with no private page. O(pages) slot writes, no byte
+    /// copies.
+    pub(crate) fn adopt_ram(&mut self, base: &Arc<FrozenPages>) {
         self.ram.adopt(Arc::clone(base));
-        self.ram_dirty.clear();
     }
 
-    /// Copy-on-write restore: drops exactly the overlay pages the dirty
-    /// bitmap names, reverting them to the shared base. O(dirty pages),
-    /// and frees the worker's private memory instead of copying into it.
-    pub(crate) fn restore_ram_cow(&mut self) {
-        let ram = &mut self.ram;
-        self.ram_dirty.drain(|page| ram.revert_page(page));
-    }
-
-    /// Full-private-copy restore (the pre-CoW reference path, kept for
-    /// fork-isolation equivalence testing): RAM becomes a flat owned copy
-    /// of `data` with every page clean.
-    pub(crate) fn restore_ram_flat(&mut self, data: &[u8]) {
-        self.ram = PagedBytes::from_vec(data.to_vec(), RAM_PAGE_SHIFT);
-        self.ram_dirty.clear();
+    /// Copy-on-write restore: points every private RAM page back at its
+    /// base page. O(dirty pages), and frees the worker's private memory
+    /// instead of copying into it.
+    pub(crate) fn restore_ram(&mut self) {
+        self.ram.restore();
     }
 
     /// Number of RAM pages written since the last restore (telemetry).
     pub fn dirty_ram_pages(&self) -> usize {
-        self.ram_dirty.count()
+        self.ram.overlay_pages()
     }
 
-    /// Private overlay bytes resident for guest RAM (0 when flat or
-    /// freshly restored; the shared base is not counted).
+    /// Private bytes resident for guest RAM (0 when freshly frozen or
+    /// restored; the shared base is not counted).
     pub fn ram_overlay_bytes(&self) -> usize {
         self.ram.overlay_bytes()
     }

@@ -45,7 +45,6 @@ pub mod bus;
 pub mod cow;
 pub mod cpu;
 pub mod device;
-pub mod dirty;
 pub mod error;
 pub mod fault;
 pub mod hash;
@@ -57,7 +56,7 @@ pub mod profile;
 pub mod snapshot;
 pub mod translate;
 
-pub use cow::PagedBytes;
+pub use cow::{FrozenPages, PagedBytes};
 pub use error::{EmuError, Fault};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError, HangClass, InjectionStats};
 pub use hook::{ExecHook, HookAction, HookConfig, NullHook};

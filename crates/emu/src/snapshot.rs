@@ -4,11 +4,12 @@
 //! it before every test program, so each execution starts from an identical,
 //! fully booted system state.
 //!
-//! The RAM image inside a [`Snapshot`] is an immutable `Arc`-shared base:
-//! restoring it *forks* the machine's RAM from that base instead of copying
-//! it. From then on the bus allocates private overlay pages only for pages
-//! the guest writes, and restoring the same snapshot again just drops those
-//! overlay pages (O(dirty), and it *frees* memory rather than copying).
+//! The RAM image inside a [`Snapshot`] is an immutable `Arc`-shared base
+//! ([`FrozenPages`]) holding only the pages with data: restoring it *forks*
+//! the machine's RAM from that base instead of copying it. From then on the
+//! bus allocates private pages only for pages the guest writes, and
+//! restoring the same snapshot again points those pages back at the base
+//! (O(dirty), and it *frees* memory rather than copying).
 //! Any number of machines — parallel fuzzing workers, daemon jobs — can
 //! fork from one base, so per-worker incremental memory is O(dirty pages),
 //! not O(RAM). Base identity is `Arc` pointer identity: no id counters, no
@@ -16,6 +17,7 @@
 
 use std::sync::Arc;
 
+use crate::cow::FrozenPages;
 use crate::cpu::Cpu;
 use crate::device::DeviceSet;
 use crate::error::EmuError;
@@ -32,7 +34,7 @@ use crate::machine::Machine;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// The immutable base RAM image machines fork from on restore.
-    ram: Arc<Vec<u8>>,
+    ram: Arc<FrozenPages>,
     cpus: Vec<Cpu>,
     devices: DeviceSet,
     global_retired: u64,
@@ -43,36 +45,35 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The shared base RAM image (for base-identity checks and hashing).
-    pub fn ram_base(&self) -> &Arc<Vec<u8>> {
+    pub fn ram_base(&self) -> &Arc<FrozenPages> {
         &self.ram
     }
 
-    /// Size of the captured state in bytes (the shared base; paid once per
-    /// base image, not per forked machine).
+    /// Logical size of the captured RAM in bytes.
     pub fn base_bytes(&self) -> usize {
         self.ram.len()
     }
 
     /// Folds this snapshot's contents into `hash` with
-    /// [`crate::hash::fold`]: the RAM image as one slice, then the
-    /// CPU/device state, retired count and round-robin cursor as their
-    /// canonical `Debug` rendering. Deterministic for identical machine
-    /// states, so two independently booted sessions of the same firmware
-    /// hash alike and can share one base image.
+    /// [`crate::hash::fold`]: the RAM image page by page
+    /// ([`FrozenPages::fold_hash`]), then the CPU/device state, retired
+    /// count and round-robin cursor as their canonical `Debug` rendering.
+    /// Deterministic for identical machine states, so two independently
+    /// booted sessions of the same firmware hash alike and can share one
+    /// base image.
     pub fn fold_hash(&self, hash: u64) -> u64 {
         let tail =
             format!("{:?}|{:?}|{}|{}", self.cpus, self.devices, self.global_retired, self.next_cpu);
-        crate::hash::fold(crate::hash::fold(hash, &self.ram), tail.as_bytes())
+        crate::hash::fold(self.ram.fold_hash(hash), tail.as_bytes())
     }
 }
 
 impl Machine {
-    /// Captures a snapshot of the current machine state. When RAM is a
-    /// fork with an empty overlay (right after [`Machine::freeze_ram`] or
-    /// a restore) the snapshot shares that base; otherwise the RAM image
-    /// is materialized once (base + any overlay). Either way it becomes
-    /// the immutable shared base of every machine that restores the
-    /// snapshot.
+    /// Captures a snapshot of the current machine state. When no RAM page
+    /// is private (right after [`Machine::freeze_ram`] or a restore) the
+    /// snapshot shares RAM's base; otherwise the new image shares the
+    /// base's pages and copies the private ones. Either way it becomes the
+    /// immutable shared base of every machine that restores the snapshot.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             ram: self.bus().ram_image(),
@@ -83,10 +84,10 @@ impl Machine {
         }
     }
 
-    /// Freezes guest RAM in place as an immutable shared base, with no
-    /// byte copy when RAM is flat. A following [`Machine::snapshot`]
-    /// captures that base in O(1) bytes, and the first restore of it takes
-    /// the O(dirty) copy-on-write path.
+    /// Freezes guest RAM in place as an immutable shared base, moving its
+    /// private pages into it with no byte copy. A following
+    /// [`Machine::snapshot`] captures that base in O(1) bytes, and the first
+    /// restore of it takes the O(dirty) copy-on-write path.
     pub fn freeze_ram(&mut self) {
         self.bus_mut().freeze_ram();
     }
@@ -94,11 +95,11 @@ impl Machine {
     /// Restores a snapshot previously taken from a machine with the same
     /// RAM size and vCPU count.
     ///
-    /// If RAM already forks from this snapshot's base, the restore drops
-    /// only the overlay pages dirtied since the last restore (O(dirty)).
-    /// Otherwise RAM re-forks from the snapshot's base — O(pages)
-    /// bookkeeping and zero byte copies, releasing any previously private
-    /// RAM back to the allocator.
+    /// If RAM already forks from this snapshot's base, the restore points
+    /// only the pages dirtied since the last restore back at the base
+    /// (O(dirty)). Otherwise RAM re-forks from the snapshot's base —
+    /// O(pages) bookkeeping and zero byte copies, releasing any previously
+    /// private RAM back to the allocator.
     ///
     /// # Errors
     ///
@@ -107,27 +108,12 @@ impl Machine {
     pub fn restore(&mut self, snapshot: &Snapshot) -> Result<(), EmuError> {
         self.check_shape(snapshot)?;
         if self.bus().ram_shares_base(&snapshot.ram) {
-            // Fast path: RAM differs from the base only on the overlay
-            // pages the bus marked dirty since the last restore.
-            self.bus_mut().restore_ram_cow();
+            // Fast path: RAM differs from the base only on its private
+            // pages, all written since the last restore.
+            self.bus_mut().restore_ram();
         } else {
             self.bus_mut().adopt_ram(&snapshot.ram);
         }
-        self.finish_restore(snapshot);
-        Ok(())
-    }
-
-    /// The pre-CoW reference restore: RAM becomes a flat private copy of
-    /// the snapshot image (O(RAM) memory and copy cost). Kept so the
-    /// fork-isolation suite can prove the CoW path byte-equivalent to it;
-    /// not used on any production path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmuError::SnapshotMismatch`] exactly as [`Machine::restore`].
-    pub fn restore_materialized(&mut self, snapshot: &Snapshot) -> Result<(), EmuError> {
-        self.check_shape(snapshot)?;
-        self.bus_mut().restore_ram_flat(&snapshot.ram);
         self.finish_restore(snapshot);
         Ok(())
     }
@@ -160,8 +146,8 @@ impl Machine {
         self.set_next_cpu(snapshot.next_cpu);
     }
 
-    /// Private overlay bytes guest RAM holds beyond its shared base
-    /// (0 right after a restore; grows with pages dirtied since).
+    /// Private bytes guest RAM holds beyond its shared base (0 right after
+    /// a restore; grows with pages dirtied since).
     pub fn ram_overlay_bytes(&self) -> usize {
         self.bus().ram_overlay_bytes()
     }
@@ -306,24 +292,39 @@ mod tests {
         assert_eq!(b.snapshot(), snap);
     }
 
+    /// Restores against a flat `Vec<u8>` model driven by the same host
+    /// writes: the model, not another restore path, says what RAM holds.
     #[test]
-    fn cow_restore_equals_materialized_restore() {
-        let mut cow = counting_machine();
-        cow.run(&mut NullHook, 100).unwrap();
-        let snap = cow.snapshot();
-        let mut flat = counting_machine();
-        cow.restore(&snap).unwrap();
-        flat.restore_materialized(&snap).unwrap();
-        for step in 0..3 {
-            cow.run(&mut NullHook, 80 + step).unwrap();
-            flat.run(&mut NullHook, 80 + step).unwrap();
-            assert_eq!(cow.snapshot(), flat.snapshot(), "divergence at step {step}");
-            cow.restore(&snap).unwrap();
-            flat.restore_materialized(&snap).unwrap();
-            assert_eq!(cow.snapshot(), snap);
-            assert_eq!(flat.snapshot(), snap);
+    fn restore_matches_a_flat_model_of_the_same_writes() {
+        let mut m = counting_machine();
+        m.run(&mut NullHook, 100).unwrap();
+        let snap = m.snapshot();
+        let (ram, size) = m.bus().ram_range();
+        let ram_of = |m: &Machine| {
+            let mut bytes = vec![0; size as usize];
+            m.bus().read_bytes(ram, &mut bytes).unwrap();
+            bytes
+        };
+        let count = m.read_mem(ram, 4).unwrap();
+        let mut ready = vec![0u8; size as usize];
+        ready[..4].copy_from_slice(&count.to_le_bytes());
+        assert_eq!(ram_of(&m), ready);
+        for step in 0..3usize {
+            let mut model = ready.clone();
+            for k in 0..8 {
+                let at = (step * 977 + k * 1031) % (size as usize - 16);
+                let bytes = [step as u8 + 1, k as u8, 0, 0xFF];
+                m.bus_mut().write_bytes(ram + at as u32, &bytes).unwrap();
+                model[at..at + 4].copy_from_slice(&bytes);
+            }
+            m.write_mem(ram + size - 4, 4, 0xC0FF_EE00).unwrap();
+            model[size as usize - 4..].copy_from_slice(&0xC0FF_EE00u32.to_le_bytes());
+            assert_eq!(ram_of(&m), model, "divergence at step {step}");
+            m.restore(&snap).unwrap();
+            assert_eq!(ram_of(&m), ready, "restore at step {step}");
+            assert_eq!(m.snapshot(), snap);
         }
-        assert!(Arc::strong_count(snap.ram_base()) >= 2, "cow machine shares the base");
+        assert!(Arc::strong_count(snap.ram_base()) >= 2, "the machine shares the base");
     }
 
     #[test]
@@ -337,6 +338,5 @@ mod tests {
             .build()
             .unwrap();
         assert!(m2.restore(&snap).is_err());
-        assert!(m2.restore_materialized(&snap).is_err());
     }
 }

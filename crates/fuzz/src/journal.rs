@@ -31,8 +31,9 @@ use crate::fuzzer::{Finding, FuzzerState, Strategy};
 /// different descriptions fails instead of silently diverging. `4`: the
 /// base-image hash changed function (`embsan_emu::hash::fold` in place of
 /// FNV-1a), so every journaled `base_hash` changed value; the wire format
-/// did not.)
-pub const MAGIC: &[u8; 8] = b"EMBSANJ4";
+/// did not. `5`: the base-image hash folds only the pages holding data, so
+/// every journaled `base_hash` changed value again; same wire format.)
+pub const MAGIC: &[u8; 8] = b"EMBSANJ5";
 
 /// Journal failures.
 #[derive(Debug)]
@@ -1092,12 +1093,25 @@ mod tests {
         let Err(JournalError::Corrupt { offset: 0, message }) = Journal::load(&path) else {
             panic!("an EMBSANJ3 journal must not load");
         };
-        assert_eq!(message, "journal version 3 found, this build reads version 4");
+        assert_eq!(message, "journal version 3 found, this build reads version 5");
         std::fs::write(&path, b"EMBSANJ").unwrap();
         let Err(JournalError::Corrupt { message, .. }) = Journal::load(&path) else {
             panic!("a cut magic must not load");
         };
         assert_eq!(message, "bad journal magic");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_version_4_journal_is_refused_by_name() {
+        let dir = std::env::temp_dir().join(format!("embsan-journal-v4-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v4.journal");
+        std::fs::write(&path, b"EMBSANJ4").unwrap();
+        let Err(JournalError::Corrupt { offset: 0, message }) = Journal::load(&path) else {
+            panic!("an EMBSANJ4 journal must not load");
+        };
+        assert_eq!(message, "journal version 4 found, this build reads version 5");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -135,9 +135,13 @@ pub struct ParallelStats {
     /// corpus entries. `None` for undirected runs (every score is
     /// [`UNSCORED`]) and before anything scored is retained.
     pub frontier: Option<(u32, u32)>,
-    /// Bytes of the ready-point base image (RAM plus sanitizer planes) —
-    /// paid once when workers share it, not per worker.
+    /// Logical size of the ready-point base image (RAM plus sanitizer
+    /// planes).
     pub base_bytes: u64,
+    /// Bytes the base image holds: its resident 4 KiB pages, the ones with
+    /// data at the ready point — paid once when workers share it, not per
+    /// worker.
+    pub base_resident_bytes: u64,
     /// Largest per-iteration copy-on-write overlay any worker held
     /// (private dirty pages beyond the shared base): the per-worker
     /// incremental memory cost, O(pages touched) rather than O(RAM).
@@ -180,6 +184,7 @@ impl ParallelStats {
         // Memory accounting is telemetry: overlay peaks depend on which
         // iterations a worker happened to claim.
         registry.gauge("memory", "base_bytes", Telemetry, self.base_bytes as i64);
+        registry.gauge("memory", "base_resident_bytes", Telemetry, self.base_resident_bytes as i64);
         registry.gauge(
             "memory",
             "max_worker_overlay_bytes",
@@ -284,6 +289,7 @@ struct WorkerExit {
     /// Largest post-iteration overlay this worker held (bytes).
     peak_overlay_bytes: u64,
     base_bytes: u64,
+    base_resident_bytes: u64,
     /// Whether this worker forked from the shared base image.
     shares_base: bool,
 }
@@ -595,6 +601,9 @@ fn worker_loop<F>(
             slow_path_checks: session.runtime().slow_path_checks(),
             peak_overlay_bytes: peak_overlay as u64,
             base_bytes: session.base_bytes() as u64,
+            base_resident_bytes: session
+                .base()
+                .map_or(0, |base| (base.resident_pages() * embsan_emu::cow::PAGE_SIZE) as u64),
             shares_base,
         });
     }
@@ -699,19 +708,14 @@ where
     }
     let fuzz_wall =
         shared.fuzz_start.lock().unwrap().map(|start| start.elapsed()).unwrap_or_default();
-    let (cache, slow_path_checks, base_bytes, max_worker_overlay_bytes, workers_sharing_base) =
-        shared.worker_stats.lock().unwrap().iter().fold(
-            (CacheStats::default(), 0u64, 0u64, 0u64, 0usize),
-            |(cache, slow, base, overlay, sharing), w| {
-                (
-                    cache.merged(w.cache),
-                    slow + w.slow_path_checks,
-                    base.max(w.base_bytes),
-                    overlay.max(w.peak_overlay_bytes),
-                    sharing + usize::from(w.shares_base),
-                )
-            },
-        );
+    let workers = shared.worker_stats.lock().unwrap();
+    let max = |field: fn(&WorkerExit) -> u64| workers.iter().map(field).max().unwrap_or(0);
+    let (base_bytes, base_resident_bytes, max_worker_overlay_bytes) =
+        (max(|w| w.base_bytes), max(|w| w.base_resident_bytes), max(|w| w.peak_overlay_bytes));
+    let cache = workers.iter().fold(CacheStats::default(), |cache, w| cache.merged(w.cache));
+    let slow_path_checks = workers.iter().map(|w| w.slow_path_checks).sum();
+    let workers_sharing_base = workers.iter().filter(|w| w.shares_base).count();
+    drop(workers);
     let published_coverage =
         shared.bitmap.iter().filter(|b| b.load(Ordering::Relaxed) != 0).count();
     let state = shared.merge.into_inner().unwrap();
@@ -728,6 +732,7 @@ where
         published_coverage,
         frontier: crate::directed::frontier(&state.scores),
         base_bytes,
+        base_resident_bytes,
         max_worker_overlay_bytes,
         workers_sharing_base,
     };

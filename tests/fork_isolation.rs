@@ -3,18 +3,21 @@
 //! Two workers forked from one base image must be able to mutate RAM —
 //! including the same pages — without any write-through to the shared
 //! base, each worker's incremental footprint must be exactly its dirty
-//! pages, and the CoW restore path must be byte-equivalent to the
-//! materializing (non-CoW) restore it replaced.
+//! pages, and every restore must leave exactly the bytes a flat
+//! `Vec<u8>` model of the same writes predicts.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use embsan::core::distill::{distill, UMSAN_HEADER};
 use embsan::core::probe::{probe, ProbeMode};
 use embsan::core::session::Session;
 use embsan::dsl::{InitProgram, InitStep, PoisonKind};
+use embsan::emu::cow::{FrozenPages, PagedBytes, PAGE_SIZE};
+use embsan::emu::hash::fold;
 use embsan::emu::prelude::*;
 use embsan::fuzz::campaign::{prepare_session, CampaignConfig};
-use embsan::fuzz::{descriptions_for, Fuzzer, FuzzerConfig, Strategy};
+use embsan::fuzz::{descriptions_for, Fuzzer, FuzzerConfig, SplitMix64, Strategy};
 use embsan::guestos::executor::{sys, ExecProgram};
 use embsan::guestos::{firmware_by_name, os, BuildOptions, SanMode};
 use embsan::obs::TraceConfig;
@@ -40,6 +43,14 @@ fn counting_machine() -> Machine {
     Machine::builder(profile).rom(profile.rom_base, &text).ram(ram, 8 * PAGE).build().unwrap()
 }
 
+/// All of a machine's RAM, read byte for byte.
+fn ram_of(machine: &Machine) -> Vec<u8> {
+    let (ram, size) = machine.bus().ram_range();
+    let mut bytes = vec![0; size as usize];
+    machine.bus().read_bytes(ram, &mut bytes).unwrap();
+    bytes
+}
+
 /// Two machines forked from one snapshot mutate disjoint and overlapping
 /// pages; neither write reaches the shared base or the other fork, each
 /// fork's overlay is exactly its dirty pages, and restore returns both to
@@ -49,7 +60,7 @@ fn forked_workers_mutate_without_write_through() {
     let mut a = counting_machine();
     a.run(&mut NullHook, 100).unwrap();
     let snap = a.snapshot();
-    let base_before: Vec<u8> = snap.ram_base().as_ref().clone();
+    let base_before = ram_of(&a);
 
     // Fork both machines from the same base allocation.
     let mut b = counting_machine();
@@ -77,8 +88,11 @@ fn forked_workers_mutate_without_write_through() {
     assert_eq!(a.read_mem(ram + 2 * PAGE, 4).unwrap(), 0);
     assert_eq!(b.read_mem(ram + PAGE, 4).unwrap(), 0);
 
-    // No write-through: the shared base allocation is untouched.
-    assert_eq!(snap.ram_base().as_ref(), &base_before);
+    // No write-through: a third machine forked from the base afterwards
+    // reads the bytes captured before either fork wrote.
+    let mut c = counting_machine();
+    c.restore(&snap).unwrap();
+    assert_eq!(ram_of(&c), base_before);
 
     // Incremental footprint is exactly the dirty pages: two each.
     assert_eq!(a.ram_overlay_bytes(), 2 * PAGE as usize);
@@ -93,37 +107,197 @@ fn forked_workers_mutate_without_write_through() {
     assert_eq!(b.ram_overlay_bytes(), 0);
 }
 
-/// The CoW restore path produces a machine state byte-identical to the
-/// pre-CoW materializing restore, including after guest execution dirtied
-/// state beyond what host writes touch.
+/// Records every guest store into a flat byte vector: a model of RAM that
+/// shares no code with the paged store.
+struct FlatRam {
+    base: u32,
+    bytes: Vec<u8>,
+}
+
+impl ExecHook for FlatRam {
+    fn mem_access(&mut self, _: &mut CpuView<'_>, access: &MemAccess) -> HookAction {
+        if access.kind.is_write() {
+            let (at, size) = ((access.addr - self.base) as usize, usize::from(access.size));
+            self.bytes[at..at + size].copy_from_slice(&access.value.to_le_bytes()[..size]);
+        }
+        HookAction::Continue
+    }
+}
+
+/// The copy-on-write restore leaves exactly the RAM a flat model of the
+/// same guest stores and host writes predicts, before and after restores,
+/// and re-execution from a restore matches the model again.
 #[test]
 fn cow_restore_equals_materialized_restore() {
-    let mut cow = counting_machine();
-    let mut flat = counting_machine();
-    cow.run(&mut NullHook, 100).unwrap();
-    flat.run(&mut NullHook, 100).unwrap();
-    let snap = cow.snapshot();
+    let mut machine = counting_machine();
+    machine.set_hook_config(HookConfig { mem: true, ..HookConfig::none() });
+    let (ram, size) = machine.bus().ram_range();
+    let mut model = FlatRam { base: ram, bytes: vec![0; size as usize] };
+    machine.run(&mut model, 100).unwrap();
+    let snap = machine.snapshot();
+    let ready = model.bytes.clone();
+    assert_eq!(ram_of(&machine), ready);
 
     for round in 0..3u64 {
-        // Dirty both machines identically through guest stores + host writes.
-        for m in [&mut cow, &mut flat] {
-            m.run(&mut NullHook, 60 + round).unwrap();
-            let ram = m.bus().ram_range().0;
-            m.write_mem(ram + 5 * PAGE, 4, 0xDEAD_0000 + round as u32).unwrap();
+        machine.run(&mut model, 60 + round).unwrap();
+        let value = 0xDEAD_0000 + round as u32;
+        machine.write_mem(ram + 5 * PAGE, 4, value).unwrap();
+        let at = 5 * PAGE as usize;
+        model.bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        assert_eq!(ram_of(&machine), model.bytes, "round {round}");
+        machine.restore(&snap).unwrap();
+        model.bytes.clone_from(&ready);
+        assert!(machine.bus().ram_is_forked());
+        assert_eq!(ram_of(&machine), model.bytes, "round {round} restored");
+        assert_eq!(machine.snapshot(), snap, "round {round}");
+        // Re-execution from the restore matches the model.
+        machine.run(&mut model, 200).unwrap();
+        assert_eq!(ram_of(&machine), model.bytes, "round {round} post-run");
+        machine.restore(&snap).unwrap();
+        model.bytes.clone_from(&ready);
+    }
+}
+
+/// A flat model of one [`PagedBytes`]: its contents, and the pages written
+/// since the last restore, freeze or adopt.
+#[derive(Clone, Default)]
+struct PagedModel {
+    bytes: Vec<u8>,
+    touched: BTreeSet<usize>,
+}
+
+impl PagedModel {
+    fn write(&mut self, offset: usize, src: &[u8]) {
+        self.bytes[offset..offset + src.len()].copy_from_slice(src);
+        if !src.is_empty() {
+            self.touched.extend(offset / PAGE_SIZE..=(offset + src.len() - 1) / PAGE_SIZE);
         }
-        cow.restore(&snap).unwrap();
-        flat.restore_materialized(&snap).unwrap();
-        assert!(cow.bus().ram_is_forked());
-        assert!(!flat.bus().ram_is_forked());
-        assert_eq!(cow.snapshot(), flat.snapshot(), "round {round}");
-        assert_eq!(cow.snapshot(), snap, "round {round}");
-        // Re-execution from either restore is identical.
-        let ea = cow.run(&mut NullHook, 200).unwrap();
-        let eb = flat.run(&mut NullHook, 200).unwrap();
-        assert_eq!(ea, eb);
-        assert_eq!(cow.snapshot(), flat.snapshot(), "round {round} post-run");
-        cow.restore(&snap).unwrap();
-        flat.restore_materialized(&snap).unwrap();
+    }
+
+    fn overlay_bytes(&self) -> usize {
+        self.touched.iter().map(|&page| (self.bytes.len() - page * PAGE_SIZE).min(PAGE_SIZE)).sum()
+    }
+
+    /// The documented content hash over the flat bytes: the length, then
+    /// the index and bytes of every page holding a non-zero byte.
+    fn hash(&self, seed: u64) -> u64 {
+        let mut hash = fold(seed, &(self.bytes.len() as u64).to_le_bytes());
+        for (index, page) in self.bytes.chunks(PAGE_SIZE).enumerate() {
+            if page.iter().any(|&byte| byte != 0) {
+                hash = fold(fold(hash, &(index as u64).to_le_bytes()), page);
+            }
+        }
+        hash
+    }
+
+    fn check(&self, buf: &PagedBytes, rng: &mut SplitMix64, step: usize) {
+        let mut contents = vec![0; buf.len()];
+        buf.read_bytes(0, &mut contents);
+        assert!(contents == self.bytes, "contents differ after step {step}");
+        let at = rng.gen_usize() % buf.len();
+        assert_eq!(buf.get(at), self.bytes[at], "get({at}) after step {step}");
+        assert_eq!(buf.overlay_bytes(), self.overlay_bytes(), "overlay after step {step}");
+        assert_eq!(buf.overlay_pages(), self.touched.len(), "private pages after step {step}");
+        let seed = rng.next_u64();
+        assert_eq!(buf.fold_hash(seed), self.hash(seed), "hash after step {step}");
+    }
+}
+
+/// Drives one [`PagedBytes`] and its flat model with `steps` random
+/// operations: in-page and straddling writes and fills (zero fills
+/// included, onto the partial last page too), freezes, restores, adopting
+/// another frozen base, and restoring from another buffer. Contents,
+/// private bytes and the hash must match the model after every step, and
+/// no frozen base may ever change.
+fn run_paged_model(seed: u64, steps: usize) {
+    const LEN: usize = 5 * PAGE_SIZE + 123;
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut buf = PagedBytes::zeroed(LEN);
+    let mut model = PagedModel { bytes: vec![0; LEN], touched: BTreeSet::new() };
+    // The model of the buffer's base contents, and every frozen base so far.
+    let mut base_bytes = vec![0; LEN];
+    let mut bases: Vec<(Arc<FrozenPages>, Vec<u8>)> = Vec::new();
+    for step in 0..steps {
+        let offset = rng.gen_usize() % LEN;
+        let room = LEN - offset;
+        match rng.gen_usize() % 16 {
+            0..=3 => {
+                let len = 1 + rng.gen_usize() % (PAGE_SIZE - offset % PAGE_SIZE).min(room).min(8);
+                let src: Vec<u8> = (0..len).map(|_| rng.gen_u8()).collect();
+                buf.slice_mut(offset, len).copy_from_slice(&src);
+                model.write(offset, &src);
+            }
+            4..=6 => {
+                let len = rng.gen_usize() % room.min(2 * PAGE_SIZE + 64);
+                let value = if rng.gen_bool(0.4) { 0 } else { rng.gen_u8() };
+                buf.fill(offset, len, value);
+                model.write(offset, &vec![value; len]);
+            }
+            7..=9 => {
+                let len = rng.gen_usize() % room.min(PAGE_SIZE + 300);
+                let src: Vec<u8> = (0..len).map(|_| rng.gen_u8() & 3).collect();
+                buf.write_bytes(offset, &src);
+                model.write(offset, &src);
+            }
+            10 => {
+                let value = rng.gen_u8();
+                *buf.byte_mut(offset) = value;
+                model.write(offset, &[value]);
+            }
+            11 => {
+                let base = buf.freeze();
+                assert!(buf.shares_base(&base));
+                base_bytes.clone_from(&model.bytes);
+                model.touched.clear();
+                bases.push((base, base_bytes.clone()));
+            }
+            12 | 13 => {
+                buf.restore();
+                model.bytes.clone_from(&base_bytes);
+                model.touched.clear();
+            }
+            14 if !bases.is_empty() => {
+                let (base, bytes) = &bases[rng.gen_usize() % bases.len()];
+                buf.adopt(Arc::clone(base));
+                base_bytes.clone_from(bytes);
+                model = PagedModel { bytes: bytes.clone(), touched: BTreeSet::new() };
+            }
+            15 if !bases.is_empty() => {
+                let (base, bytes) = &bases[rng.gen_usize() % bases.len()];
+                let mut other = PagedBytes::forked(Arc::clone(base));
+                let mut other_model = PagedModel { bytes: bytes.clone(), touched: BTreeSet::new() };
+                if rng.gen_bool(0.5) {
+                    other.write_bytes(offset, &[0xA5]);
+                    other_model.write(offset, &[0xA5]);
+                }
+                buf.restore_from(&other);
+                base_bytes.clone_from(bytes);
+                model = other_model;
+            }
+            _ => {}
+        }
+        model.check(&buf, &mut rng, step);
+    }
+    for (base, bytes) in &bases {
+        let fork = PagedBytes::forked(Arc::clone(base));
+        PagedModel { bytes: bytes.clone(), touched: BTreeSet::new() }.check(&fork, &mut rng, steps);
+        assert_eq!(base.fold_hash(7), fork.fold_hash(7), "an image hashes as its forks do");
+    }
+}
+
+#[test]
+fn paged_bytes_matches_a_flat_model() {
+    for seed in [1, 2, 3] {
+        run_paged_model(seed, 600);
+    }
+}
+
+/// The same model check at about 10^5 operations per seed (run in release).
+#[test]
+#[ignore = "long-running; run in release with --include-ignored"]
+fn paged_bytes_matches_a_flat_model_at_scale() {
+    for seed in [11, 12, 13, 14] {
+        run_paged_model(seed, 100_000);
     }
 }
 

@@ -27,6 +27,10 @@ const SEED: u64 = 0x00C0_FFEE;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Counts {
     base_hash: u64,
+    /// 4 KiB pages the ready-point base image holds (RAM plus sanitizer
+    /// planes): the pages with data. Setting up a session is proportional
+    /// to these, so a return to O(RAM) set-up moves this count.
+    resident_pages: usize,
     /// Guest instructions retired by the campaign (after the ready point).
     retired: u64,
     /// Translation-cache counters since session creation (boot included).
@@ -47,6 +51,7 @@ fn measure(firmware: &str) -> Counts {
     let spec = firmware_by_name(firmware).unwrap();
     let (mut session, dict) = prepare_session(spec, &CampaignConfig::default()).unwrap();
     let base_hash = session.base_hash().unwrap();
+    let resident_pages = session.base().unwrap().resident_pages();
     let before = session.machine().lifetime_retired();
     let mut config = FuzzerConfig::new(paper_strategy(spec), SEED);
     config.program_budget = CampaignConfig::default().program_budget;
@@ -57,6 +62,7 @@ fn measure(firmware: &str) -> Counts {
     let cache = session.cache_stats();
     Counts {
         base_hash,
+        resident_pages,
         retired: session.machine().lifetime_retired() - before,
         translations: cache.translations,
         hits: cache.hits,
@@ -81,7 +87,8 @@ fn openwrt_armvirt_work_counts() {
     check(
         "OpenWRT-armvirt",
         Counts {
-            base_hash: 0xA826589E86F4D196,
+            base_hash: 0x4CB2B85955064684,
+            resident_pages: 36,
             retired: 385_318,
             translations: 126,
             hits: 114_803,
@@ -102,7 +109,8 @@ fn openharmony_stm32mp1_work_counts() {
     check(
         "OpenHarmony-stm32mp1",
         Counts {
-            base_hash: 0x968F2CFF25180DDA,
+            base_hash: 0x269C8A6E24652542,
+            resident_pages: 51,
             retired: 12_126_140,
             translations: 79,
             hits: 3_792_416,
@@ -123,7 +131,8 @@ fn infinitime_work_counts() {
     check(
         "InfiniTime",
         Counts {
-            base_hash: 0xDE0DFE01BF044D3E,
+            base_hash: 0xE51B5D4D23352AD6,
+            resident_pages: 36,
             retired: 5_382_434,
             translations: 91,
             hits: 1_533_613,
@@ -144,7 +153,8 @@ fn tp_link_wdr7660_work_counts() {
     check(
         "TP-Link WDR-7660",
         Counts {
-            base_hash: 0x7935FA0EB6A0428B,
+            base_hash: 0x5417961E8FD4CD3B,
+            resident_pages: 4,
             retired: 9_167_892,
             translations: 67,
             hits: 2_800_242,
@@ -166,7 +176,8 @@ fn openwrt_x86_64_smp_work_counts() {
     check(
         "OpenWRT-x86_64",
         Counts {
-            base_hash: 0x494080BCC6500FA0,
+            base_hash: 0x694ED7809003CCC3,
+            resident_pages: 36,
             retired: 392_381,
             translations: 129,
             hits: 116_865,
