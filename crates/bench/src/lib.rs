@@ -11,31 +11,37 @@
 //! | `table4` | the full new-bug listing (campaigns) |
 //! | `figure2` | runtime-overhead comparison |
 //!
-//! plus the Criterion bench `fig2_overhead`. This library holds the
-//! machinery those binaries (and the integration tests) share.
+//! This library holds the machinery those binaries, the integration tests
+//! and the `perfbench/` workloads share.
 
 pub mod ablation;
-pub mod baseline;
 pub mod overhead;
 pub mod table2;
 pub mod table34;
-pub mod throughput;
 
-pub use baseline::{memory_regressions, parse_baseline, regressions, BaselinePoint};
 pub use overhead::{
     measure_configuration, OverheadConfig, OverheadRow, OverheadWorkload, SanitizerChoice,
 };
 pub use table2::{replay_known_bug, replay_table2, DetectionRow};
 pub use table34::{run_all_campaigns, CampaignSummary};
-pub use throughput::{
-    measure_cache_generations, measure_firmware_throughput, measure_worker_scaling, peak_rss_bytes,
-    san_label, BenchWarning, CacheToggleReport, FirmwareThroughput, ThroughputReport, WorkerPoint,
-};
 
 /// Reads an environment-variable budget with a default (used to scale the
 /// campaign and overhead benches without recompiling).
 pub fn env_budget(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// Peak resident-set size of this process in bytes, from
+/// `/proc/self/status` `VmHWM`. Returns 0 on hosts without procfs.
+pub fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map_or(0, |kib| kib * 1024)
 }
 
 #[cfg(test)]

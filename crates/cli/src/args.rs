@@ -33,9 +33,6 @@ const VALUED: &[&str] = &[
     "workers",
     "epoch",
     "json",
-    "toggles",
-    "baseline",
-    "max-regression",
     "metrics-out",
     "trace-out",
     "out",

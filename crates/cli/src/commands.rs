@@ -113,19 +113,6 @@ USAGE:
       --out FILE                 write the trace here (default stdout)
       --metrics-out FILE         also write the session's embsan-metrics-v1
                                  snapshot
-  embsan bench [firmware-name] [--workers N] [--iters N] [--seed S]
-                                 fuzzing-throughput benchmark on a seed
-                                 firmware (default \"TP-Link WDR-7660\"):
-                                 execs/sec for 1 vs N workers plus
-                                 translation-cache generation telemetry
-      --toggles N                config-toggle cycles measured (default 8)
-      --json FILE                write the embsan-bench-throughput-v1 report
-                                 (the checked-in BENCH_throughput.json)
-      --baseline FILE            compare against a checked-in report and
-                                 exit non-zero on a throughput or per-worker
-                                 memory regression
-                                 (oversubscribed points are never gated)
-      --max-regression PCT       tolerated drop vs baseline (default 25)
   embsan serve --state-dir DIR --socket PATH
                                  crash-tolerant campaign daemon: schedules
                                  submitted campaigns across a supervised
@@ -189,7 +176,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "run" => cmd_run(&parsed),
         "trace" => cmd_trace(&parsed),
         "fuzz" => cmd_fuzz(&parsed),
-        "bench" => cmd_bench(&parsed),
         "serve" => cmd_serve(&parsed),
         "submit" => cmd_submit(&parsed),
         "jobs" => cmd_jobs(&parsed),
@@ -899,109 +885,6 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize) -> Result<(), String> {
     let iters = config.campaign.iterations.to_string();
     let meta = [("engine", "parallel"), ("seed", seed.as_str()), ("iterations", iters.as_str())];
     write_fuzz_outputs(parsed, outcome.trace.as_ref(), &outcome.stats.metrics_snapshot(), &meta)
-}
-
-fn cmd_bench(parsed: &Parsed) -> Result<(), String> {
-    use embsan_bench::{measure_firmware_throughput, ThroughputReport};
-    use embsan_fuzz::CampaignConfig;
-    let name = parsed.positional.first().map_or("TP-Link WDR-7660", String::as_str);
-    let spec = embsan_guestos::firmware_by_name(name)
-        .ok_or_else(|| format!("unknown firmware `{name}` (see `embsan bench --help`)"))?;
-    let workers = parsed.option_u64("workers", 2)? as usize;
-    let campaign = CampaignConfig {
-        iterations: parsed.option_u64("iters", 400)?,
-        seed: parsed.option_u64("seed", 17)?,
-        ..CampaignConfig::default()
-    };
-    let toggles = parsed.option_u64("toggles", 8)?;
-    let worker_counts: Vec<usize> = if workers > 1 { vec![1, workers] } else { vec![1] };
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "bench: {} ({} iterations, seed {}, workers {:?}, {} host cores)",
-        spec.name, campaign.iterations, campaign.seed, worker_counts, host_cores
-    );
-    let fw = measure_firmware_throughput(spec, &campaign, &worker_counts, toggles)
-        .map_err(|e| e.to_string())?;
-    for point in &fw.points {
-        println!(
-            "  workers {}: {:.0} execs/sec ({} execs in {:.2}s), {:.2} blocks/exec, \
-             coverage {}, findings {}",
-            point.workers,
-            point.execs_per_sec,
-            point.execs,
-            point.fuzz_wall_secs,
-            point.blocks_per_exec,
-            point.coverage,
-            point.findings
-        );
-        println!(
-            "    memory: base {} KiB shared by {}/{} workers, peak per-worker overlay {} KiB",
-            point.base_bytes / 1024,
-            point.workers_sharing_base,
-            point.workers,
-            point.peak_overlay_bytes.div_ceil(1024),
-        );
-    }
-    let toggle = &fw.cache_toggle;
-    println!(
-        "  cache generations: {} first-pass translations, {} retranslations over {} \
-         config toggles, {} generation reuses",
-        toggle.first_pass_translations,
-        toggle.retranslations_after_first_pass,
-        toggle.toggles,
-        toggle.generation_hits
-    );
-    if fw.points.iter().any(|p| p.execs == 0 || p.execs_per_sec <= 0.0) {
-        return Err("zero throughput measured (harness regression)".to_string());
-    }
-    let report = ThroughputReport {
-        host_cores,
-        iterations: campaign.iterations,
-        seed: campaign.seed,
-        peak_rss_bytes: embsan_bench::peak_rss_bytes(),
-        firmwares: vec![fw],
-    };
-    if report.peak_rss_bytes > 0 {
-        println!("  peak process RSS: {} MiB", report.peak_rss_bytes / (1024 * 1024));
-    }
-    for warning in report.warnings() {
-        println!(
-            "  warning[{}]: {} workers on {} host cores — that point measures host \
-             oversubscription, not an engine regression",
-            warning.kind, warning.workers, warning.host_cores
-        );
-    }
-    if let Some(path) = parsed.option("json") {
-        fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = parsed.option("baseline") {
-        let tolerance = parsed.option_u64("max-regression", 25)? as f64 / 100.0;
-        let text =
-            fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-        let baseline = embsan_bench::parse_baseline(&text)
-            .map_err(|e| format!("malformed baseline {path}: {e}"))?;
-        let regressions = embsan_bench::regressions(&baseline, &report, tolerance);
-        for regression in &regressions {
-            println!("  regression: {regression}");
-        }
-        if !regressions.is_empty() {
-            return Err(format!(
-                "{} throughput regression(s) beyond {:.0}% vs {path}",
-                regressions.len(),
-                tolerance * 100.0
-            ));
-        }
-        let memory = embsan_bench::memory_regressions(&baseline, &report);
-        for line in &memory {
-            println!("  memory regression: {line}");
-        }
-        if !memory.is_empty() {
-            return Err(format!("{} per-worker memory regression(s) vs {path}", memory.len()));
-        }
-        println!("  baseline check: no point more than {:.0}% below {path}", tolerance * 100.0);
-    }
-    Ok(())
 }
 
 fn cmd_fuzz_plain(parsed: &Parsed) -> Result<(), String> {

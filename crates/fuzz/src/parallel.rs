@@ -181,8 +181,11 @@ impl ParallelStats {
         }
         self.cache.record_into(registry, Telemetry);
         registry.counter("hooks", "slow_path_checks", Telemetry, self.slow_path_checks);
-        // Memory accounting is telemetry: overlay peaks depend on which
-        // iterations a worker happened to claim.
+        // Memory accounting is telemetry: one worker's overlay peak depends
+        // on which iterations it happened to claim. The maximum over all
+        // workers does not (reset frees the overlay and each iteration's
+        // program is a pure function of seed and index), and
+        // `tests/parallel_determinism.rs` pins it.
         registry.gauge("memory", "base_bytes", Telemetry, self.base_bytes as i64);
         registry.gauge("memory", "base_resident_bytes", Telemetry, self.base_resident_bytes as i64);
         registry.gauge(

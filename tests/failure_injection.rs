@@ -202,42 +202,24 @@ fn fault_plan_parser_is_total() {
 }
 
 /// Every JSON surface reachable from a file or a socket is total: the
-/// serve request line, the serve manifest line, the analysis artifact and
-/// the bench baseline return `Ok` or `Err` — never panic or overflow the
-/// stack — on every prefix of a valid document, on seeded token soup and
-/// on deeply nested lines.
+/// serve request line, the serve manifest line and the analysis artifact
+/// return `Ok` or `Err` — never panic or overflow the stack — on every
+/// prefix of a valid document, on seeded token soup and on deeply nested
+/// lines.
 #[test]
 fn json_surfaces_are_total() {
     use embsan::analysis::AnalysisArtifact;
     use embsan::serve::{parse_request, JobSpec};
-    use embsan_bench::baseline::{parse_baseline, BaselinePoint};
 
     let request = r#"{"cmd":"submit","firmware":"TP-Link WDR-7660","iterations":400,"seed":18446744073709551615,"priority":2,"drill":"panic-after:40"}"#;
     let manifest = r#"{"id":3,"firmware":"TP-Link WDR-7660","iterations":400,"seed":7,"priority":2,"drill":"wedge-at:40"}"#;
     let artifact = AnalysisArtifact::from_image(&clean_image(SanMode::None)).to_json();
-    let baseline = include_str!("../BENCH_throughput.json");
-    let valid_docs = [request, manifest, &artifact, baseline];
-    let parsers: [fn(&str) -> bool; 4] = [
+    let valid_docs = [request, manifest, &artifact];
+    let parsers: [fn(&str) -> bool; 3] = [
         |text| parse_request(text).is_ok(),
         |text| JobSpec::from_json(text).is_ok(),
         |text| AnalysisArtifact::parse(text).is_ok(),
-        |text| parse_baseline(text).is_ok(),
     ];
-
-    // The CI bench gate reads the checked-in baseline: its points are
-    // unchanged by the move to the shared parser.
-    let flagged = |workers, execs_per_sec, oversubscribed| BaselinePoint {
-        firmware: "TP-Link WDR-7660".to_string(),
-        workers,
-        execs_per_sec,
-        oversubscribed,
-        base_bytes: Some(4_718_592),
-        peak_overlay_bytes: Some(16_384),
-    };
-    assert_eq!(
-        parse_baseline(baseline).unwrap(),
-        [flagged(1, 23750.3882, false), flagged(2, 22997.7088, true)]
-    );
 
     let tokens = [
         "{",

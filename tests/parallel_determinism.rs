@@ -116,3 +116,31 @@ fn determinism_check_is_not_vacuous() {
     assert!(!one.corpus.is_empty(), "corpus empty — test would be vacuous");
     assert!(one.coverage > 0);
 }
+
+/// Per-worker memory gate: a worker's copy-on-write overlay stays an order
+/// of magnitude below the shared ready-point base (O(pages touched), not
+/// O(RAM)), and every worker forks from that base. Reset frees the overlay
+/// and each iteration's program is a pure function of (seed, iteration),
+/// so the peak over all workers is exact and independent of the worker
+/// count and the schedule. A change that moves it says so and re-blesses
+/// the pinned value.
+#[test]
+fn worker_overlay_stays_a_tenth_of_the_shared_base() {
+    let spec = firmware_by_name("TP-Link WDR-7660").unwrap();
+    for workers in [1usize, 2] {
+        let config = ParallelConfig {
+            workers,
+            campaign: CampaignConfig { iterations: 400, seed: 17, ..CampaignConfig::default() },
+            ..ParallelConfig::default()
+        };
+        let (_, outcome) = run_parallel_campaign(spec, &config).unwrap();
+        let stats = outcome.stats;
+        assert_eq!(stats.base_bytes, 4_718_592, "base image at x{workers}");
+        assert_eq!(stats.max_worker_overlay_bytes, 16_384, "peak overlay at x{workers}");
+        assert!(
+            stats.max_worker_overlay_bytes * 10 <= stats.base_bytes,
+            "overlay above a tenth of the base at x{workers}"
+        );
+        assert_eq!(stats.workers_sharing_base, workers, "workers forked from the base");
+    }
+}

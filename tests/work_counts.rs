@@ -15,9 +15,12 @@
 //! may move those two and re-bless them. Every other count is guest work
 //! and may not move without a change in guest behaviour.
 
+use embsan::core::session::Session;
+use embsan::emu::hook::HookConfig;
 use embsan::fuzz::campaign::{paper_strategy, prepare_session, CampaignConfig};
 use embsan::fuzz::{descriptions_for, Fuzzer, FuzzerConfig};
 use embsan::guestos::firmware_by_name;
+use embsan::guestos::workload::merged_corpus;
 
 /// Iterations per campaign: enough to pass boot, grow a corpus and reach
 /// the seeded bugs' neighbourhood, small enough for a debug test build.
@@ -191,4 +194,43 @@ fn openwrt_x86_64_smp_work_counts() {
             findings: 2,
         },
     );
+}
+
+/// Translation-cache generations: toggling the block probes between two
+/// hook configurations translates each configuration once. Every later
+/// toggle reactivates a retained generation and retranslates nothing.
+#[test]
+fn cache_toggles_stop_retranslating_after_first_pass() {
+    const TOGGLES: u64 = 6;
+    let spec = firmware_by_name("TP-Link WDR-7660").unwrap();
+    let campaign = CampaignConfig::default();
+    let (mut session, _dict) = prepare_session(spec, &campaign).unwrap();
+    let corpus = merged_corpus(0xF16, 4, 24);
+    let base = session.runtime().hook_config();
+    let armed = HookConfig { blocks: true, ..base };
+    let cycle = |session: &mut Session| {
+        for config in [armed, base] {
+            session.machine_mut().set_hook_config(config);
+            for program in &corpus {
+                session.reset().unwrap();
+                session.run_program(program, campaign.program_budget).unwrap();
+            }
+        }
+    };
+
+    let before = session.cache_stats();
+    cycle(&mut session);
+    let first_pass = session.cache_stats();
+    for _ in 0..TOGGLES {
+        cycle(&mut session);
+    }
+    let steady = session.cache_stats();
+    assert!(first_pass.translations > before.translations, "first pass translates the image");
+    assert_eq!(
+        steady.translations, first_pass.translations,
+        "retained generations make toggles free"
+    );
+    // Each toggle cycle reactivates both generations, plus the two
+    // first-pass switches.
+    assert_eq!(steady.generation_hits - before.generation_hits, 2 * TOGGLES + 1);
 }
