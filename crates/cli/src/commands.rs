@@ -829,19 +829,23 @@ fn warn_degraded(
 }
 
 fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize) -> Result<(), String> {
-    use embsan_fuzz::{run_parallel_directed, Dictionary, ParallelConfig, Strategy};
+    use embsan_fuzz::{run_parallel, Dictionary, ParallelConfig, Strategy};
+    let epoch_len = parsed.option_u64("epoch", 64)?;
+    if epoch_len == 0 {
+        return Err("--epoch must be at least 1".to_string());
+    }
     let image = load_image(parsed)?;
     let (artifacts, cpus) = probe_image(parsed, &image)?;
+    let direction = fuzz_direction(parsed, &image)?;
     let config = ParallelConfig {
         workers,
-        epoch_len: parsed.option_u64("epoch", 64)?,
+        epoch_len,
         campaign: fuzz_campaign(parsed)?,
         trace: parsed.option("trace-out").is_some(),
-        ..ParallelConfig::default()
+        direction: direction.as_ref(),
     };
     let syscall_descs = fuzz_descriptions(parsed)?;
     let dict = Dictionary::extract(&image);
-    let direction = fuzz_direction(parsed, &image)?;
     println!(
         "parallel fuzzing: {} iterations, seed {}, {} workers, epoch {}, dictionary {} entries",
         config.campaign.iterations,
@@ -851,15 +855,8 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize) -> Result<(), String> {
         dict.len()
     );
     let factory = |_worker: usize| boot_session(&image, &artifacts, cpus, &config.campaign);
-    let outcome = run_parallel_directed(
-        factory,
-        &syscall_descs,
-        &dict,
-        Strategy::Tardis,
-        direction.as_ref(),
-        &config,
-    )
-    .map_err(|e| e.to_string())?;
+    let outcome = run_parallel(factory, &syscall_descs, &dict, Strategy::Tardis, &config)
+        .map_err(|e| e.to_string())?;
     let stats = &outcome.stats;
     println!(
         "execs {}  corpus {}  coverage {}  findings {}",

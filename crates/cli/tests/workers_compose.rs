@@ -141,3 +141,20 @@ fn resume_verifies_the_syscall_descriptions() {
     let resumed = run_ok(&["fuzz", "--resume", journal, "--syscalls", "4"]);
     assert_eq!(stats_line(&reference), stats_line(&resumed));
 }
+
+/// Degenerate scheduling values are usage errors (exit 1 with a message),
+/// never an engine panic.
+#[test]
+fn zero_workers_or_epoch_is_rejected() {
+    let image = build_image("degenerate.evfw");
+    let image = image.to_str().unwrap();
+    for (flag, argv) in [
+        ("--workers", ["fuzz", image, "--workers", "0", "--epoch", "64"]),
+        ("--epoch", ["fuzz", image, "--workers", "2", "--epoch", "0"]),
+    ] {
+        let output = embsan().args(argv).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} must be at least 1")), "{stderr}");
+    }
+}

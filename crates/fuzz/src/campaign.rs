@@ -7,10 +7,12 @@
 //! its assigned strategy, and the triaged findings are attributed back to
 //! the seeded Table-4 bugs via their gated syscalls.
 
+use std::sync::Arc;
+
 use embsan_asm::image::FirmwareImage;
 use embsan_core::probe::{probe, ProbeArtifacts, ProbeError, ProbeMode};
 use embsan_core::report::BugClass;
-use embsan_core::session::{Session, SessionError};
+use embsan_core::session::{BaseImage, Session, SessionError};
 use embsan_guestos::bugs::LATENT_BUGS;
 use embsan_guestos::executor::{sys, ExecProgram};
 use embsan_guestos::firmware::Fuzzer as PaperFuzzer;
@@ -250,6 +252,29 @@ pub fn boot_session(
     }
     session.run_to_ready(config.ready_budget)?;
     Ok(session)
+}
+
+/// Publish-or-adopt through `slot`, which holds the ready-point base image
+/// shared by every session of one firmware: the first ready session
+/// publishes its own base there, every later one adopts it
+/// ([`Session::adopt_base`]; a hash mismatch keeps the private copy,
+/// which is correct but costs a full image). Returns whether `session`
+/// now runs on the slot's base.
+///
+/// # Errors
+///
+/// See [`Session::adopt_base`].
+pub fn share_base(
+    session: &mut Session,
+    slot: &mut Option<Arc<BaseImage>>,
+) -> Result<bool, SessionError> {
+    match slot {
+        Some(base) => session.adopt_base(base),
+        None => {
+            *slot = session.base().cloned();
+            Ok(slot.is_some())
+        }
+    }
 }
 
 /// Prepares a ready session for a firmware in its Table-1 configuration.

@@ -2,7 +2,8 @@
 
 use embsan_guestos::executor::ExecProgram;
 
-use crate::cover::{CoverageMap, MAP_SIZE};
+use crate::cover::{buckets_set, CoverageMap, MAP_SIZE};
+use crate::directed::Direction;
 
 /// Score of an entry whose distance to the direction targets is unknown
 /// (no artifact loaded, or none of its covered blocks reach a target).
@@ -50,7 +51,7 @@ impl Corpus {
 
     /// Total coverage buckets reached so far.
     pub fn coverage_buckets(&self) -> usize {
-        self.global.iter().filter(|&&b| b != 0).count()
+        buckets_set(&self.global[..])
     }
 
     /// Adds `program` if its execution's coverage reached anything new.
@@ -74,6 +75,24 @@ impl Corpus {
         } else {
             false
         }
+    }
+
+    /// Sparse admission (the epoch engine's): merges a
+    /// [`CoverageMap::classified_sparse`] export into the global map and
+    /// retains `program` when it reached anything new, scored by
+    /// `direction` from the same export. Returns `true` when retained.
+    pub fn add_if_novel_sparse(
+        &mut self,
+        program: ExecProgram,
+        sparse: &[(u32, u8)],
+        direction: Option<&Direction>,
+    ) -> bool {
+        if CoverageMap::merge_classified(&mut self.global, sparse) == 0 {
+            return false;
+        }
+        self.entries.push(program);
+        self.scores.push(direction.map_or(UNSCORED, |d| d.score_sparse(sparse)));
+        true
     }
 
     /// Picks an entry by an arbitrary index (callers supply randomness).

@@ -11,6 +11,11 @@ use embsan_emu::hook::ExecHook;
 /// Size of the edge bitmap (one byte per bucket, AFL-classic).
 pub const MAP_SIZE: usize = 1 << 16;
 
+/// Number of non-zero buckets in a classified (global) coverage map.
+pub fn buckets_set(map: &[u8]) -> usize {
+    map.iter().filter(|&&b| b != 0).count()
+}
+
 /// An AFL-style edge-coverage bitmap that doubles as the emulator observer.
 #[derive(Clone)]
 pub struct CoverageMap {

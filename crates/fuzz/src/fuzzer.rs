@@ -3,9 +3,10 @@
 use embsan_core::report::{BugClass, Report};
 use embsan_core::session::{ExecOutcome, Session, SessionError};
 use embsan_guestos::executor::{sys, ExecProgram};
+use embsan_obs::{MetricClass, MetricsRegistry};
 
 use crate::corpus::{Corpus, UNSCORED};
-use crate::cover::{CoverageMap, MAP_SIZE};
+use crate::cover::{buckets_set, CoverageMap, MAP_SIZE};
 use crate::descs::SyscallDesc;
 use crate::dictionary::Dictionary;
 use crate::directed::Direction;
@@ -43,8 +44,6 @@ pub struct FuzzerConfig {
     pub strategy: Strategy,
     /// Instruction budget per program execution.
     pub program_budget: u64,
-    /// Maximum calls per generated/mutated program.
-    pub max_calls: usize,
     /// Run the deterministic dictionary stage on new corpus entries
     /// (disable for ablation studies).
     pub deterministic_stage: bool,
@@ -59,7 +58,6 @@ impl FuzzerConfig {
             seed,
             strategy,
             program_budget: 3_000_000,
-            max_calls: 12,
             deterministic_stage: true,
             coverage_source: CoverageSource::Emulator,
         }
@@ -77,6 +75,17 @@ pub struct FuzzerStats {
     pub coverage: usize,
     /// Findings (deduplicated, minimized).
     pub findings: usize,
+}
+
+impl FuzzerStats {
+    /// Copies these stats into `registry` under `subsystem`: `execs` as a
+    /// counter, `corpus`, `coverage` and `findings` as gauges.
+    pub fn record_into(&self, registry: &mut MetricsRegistry, subsystem: &str, class: MetricClass) {
+        registry.counter(subsystem, "execs", class, self.execs);
+        registry.gauge(subsystem, "corpus", class, self.corpus as i64);
+        registry.gauge(subsystem, "coverage", class, self.coverage as i64);
+        registry.gauge(subsystem, "findings", class, self.findings as i64);
+    }
 }
 
 /// One triaged finding: a sanitizer report with its minimized reproducer.
@@ -124,6 +133,52 @@ pub struct FuzzerState {
     pub findings: Vec<Finding>,
     /// Session-runtime report-dedup keys, sorted canonically.
     pub dedup_keys: Vec<(BugClass, u32, u64)>,
+}
+
+impl FuzzerState {
+    /// The statistics of the campaign at this state.
+    pub fn stats(&self) -> FuzzerStats {
+        FuzzerStats {
+            execs: self.execs,
+            corpus: self.corpus_entries.len(),
+            coverage: buckets_set(&self.global_map),
+            findings: self.findings.len(),
+        }
+    }
+}
+
+/// Triages one sanitizer report of `program` into a [`Finding`] ("all found
+/// bugs are reproducible", §4.2): greedily drops calls while the report's
+/// class still fires from the pristine snapshot, then collects the bug
+/// syscalls left in the reproducer. A pure function of the program and the
+/// report. The session's report dedup must be off, or a repeat of an
+/// already-reported bug would not show.
+///
+/// # Errors
+///
+/// Propagates session failures from the reproduction runs.
+pub fn triage(
+    session: &mut Session,
+    program: &ExecProgram,
+    report: Report,
+    budget: u64,
+) -> Result<Finding, SessionError> {
+    let mut current = program.clone();
+    let mut index = 0;
+    while current.calls.len() > 1 && index < current.calls.len() {
+        let mut candidate = current.clone();
+        candidate.calls.remove(index);
+        session.reset()?;
+        let outcome = session.run_program(&candidate, budget)?;
+        if outcome.reports.iter().any(|r| r.class == report.class) {
+            current = candidate;
+        } else {
+            index += 1;
+        }
+    }
+    let bug_syscalls =
+        current.calls.iter().map(|c| c.nr).filter(|&nr| nr >= sys::BUG_BASE).collect();
+    Ok(Finding { report, program: current, bug_syscalls })
 }
 
 /// A coverage-guided fuzzer bound to a sanitized session.
@@ -185,7 +240,7 @@ impl<'s> Fuzzer<'s> {
             .collect();
         Fuzzer {
             session,
-            mutator: Mutator::new(descs, dict, config.strategy, config.max_calls),
+            mutator: Mutator::new(descs, dict, config.strategy),
             corpus: Corpus::new(),
             coverage: CoverageMap::new(),
             rng: SplitMix64::seed_from_u64(config.seed),
@@ -381,12 +436,15 @@ impl<'s> Fuzzer<'s> {
             self.expand_deterministic(program);
         }
         let first_finding = self.findings.len();
-        for report in outcome.reports {
-            let minimized = self.minimize(program, &report)?;
-            let bug_syscalls =
-                minimized.calls.iter().map(|c| c.nr).filter(|&nr| nr >= sys::BUG_BASE).collect();
-            self.findings.push(Finding { report, program: minimized, bug_syscalls });
-        }
+        let (session, budget) = (&mut *self.session, self.config.program_budget);
+        let dedup = std::mem::replace(&mut session.runtime_mut().dedup_enabled, false);
+        let triaged: Result<Vec<Finding>, SessionError> = outcome
+            .reports
+            .into_iter()
+            .map(|report| triage(session, program, report, budget))
+            .collect();
+        session.runtime_mut().dedup_enabled = dedup;
+        self.findings.extend(triaged?);
         Ok(CommitSummary { retained, new_findings: first_finding..self.findings.len() })
     }
 
@@ -442,42 +500,6 @@ impl<'s> Fuzzer<'s> {
             state.det_seen.into_iter().map(|(nr, idx, val)| (nr, idx as usize, val)).collect();
         self.findings = state.findings;
         self.session.runtime_mut().seed_dedup(state.dedup_keys);
-    }
-
-    /// Checks whether `candidate` still reproduces `report`'s bug class.
-    fn reproduces(
-        &mut self,
-        candidate: &ExecProgram,
-        report: &Report,
-    ) -> Result<bool, SessionError> {
-        self.session.runtime_mut().dedup_enabled = false;
-        self.session.reset()?;
-        let outcome = self.session.run_program(candidate, self.config.program_budget);
-        self.session.runtime_mut().dedup_enabled = true;
-        let outcome = outcome?;
-        Ok(outcome.reports.iter().any(|r| r.class == report.class))
-    }
-
-    /// Call-level reproducer minimization ("all found bugs are
-    /// reproducible", §4.2): greedily drop calls while the report class
-    /// persists.
-    fn minimize(
-        &mut self,
-        program: &ExecProgram,
-        report: &Report,
-    ) -> Result<ExecProgram, SessionError> {
-        let mut current = program.clone();
-        let mut index = 0;
-        while current.calls.len() > 1 && index < current.calls.len() {
-            let mut candidate = current.clone();
-            candidate.calls.remove(index);
-            if self.reproduces(&candidate, report)? {
-                current = candidate;
-            } else {
-                index += 1;
-            }
-        }
-        Ok(current)
     }
 }
 

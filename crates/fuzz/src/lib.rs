@@ -54,8 +54,7 @@ pub use journal::{
     RetryPolicy, StartInfo, SupervisorHealth,
 };
 pub use parallel::{
-    run_parallel, run_parallel_campaign, run_parallel_campaign_directed, run_parallel_directed,
-    ParallelConfig, ParallelOutcome, ParallelStats,
+    run_parallel, run_parallel_campaign, ParallelConfig, ParallelOutcome, ParallelStats,
 };
 pub use rng::SplitMix64;
 pub use supervisor::{

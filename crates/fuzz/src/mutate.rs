@@ -19,6 +19,9 @@ use crate::dictionary::Dictionary;
 use crate::fuzzer::Strategy;
 use crate::rng::SplitMix64;
 
+/// Most calls a generated or mutated program holds.
+const MAX_CALLS: usize = 12;
+
 /// Interesting boundary values mixed into numeric arguments.
 const INTERESTING: [u32; 8] = [0, 1, 7, 8, 0xFF, 0x100, 0xFFFF, u32::MAX];
 
@@ -32,7 +35,6 @@ pub struct Mutator {
     /// bit-identical to the dictionary-only mutator).
     operands: Vec<u32>,
     strategy: Strategy,
-    max_calls: usize,
 }
 
 impl Mutator {
@@ -41,14 +43,9 @@ impl Mutator {
     /// # Panics
     ///
     /// Panics if `descs` is empty.
-    pub fn new(
-        descs: Vec<SyscallDesc>,
-        dict: Dictionary,
-        strategy: Strategy,
-        max_calls: usize,
-    ) -> Mutator {
+    pub fn new(descs: Vec<SyscallDesc>, dict: Dictionary, strategy: Strategy) -> Mutator {
         assert!(!descs.is_empty(), "mutator needs at least one syscall description");
-        Mutator { descs, dict, operands: Vec::new(), strategy, max_calls }
+        Mutator { descs, dict, operands: Vec::new(), strategy }
     }
 
     /// Installs harvested comparison operands (directed campaigns). They
@@ -108,7 +105,7 @@ impl Mutator {
     /// Generates a fresh program of 1–8 calls.
     pub fn generate(&self, rng: &mut SplitMix64) -> ExecProgram {
         let mut program = ExecProgram::new();
-        for _ in 0..rng.range_usize_incl(1, 8usize.min(self.max_calls)) {
+        for _ in 0..rng.range_usize_incl(1, 8usize.min(MAX_CALLS)) {
             let (nr, args) = self.gen_call(rng);
             program.push(nr, &args);
         }
@@ -153,7 +150,7 @@ impl Mutator {
             let choice = rng.range_u32(0, 100);
             match choice {
                 // Insert a generated call at a random position.
-                0..=19 if out.calls.len() < self.max_calls => {
+                0..=19 if out.calls.len() < MAX_CALLS => {
                     let (nr, args) = self.gen_call(rng);
                     let at = rng.range_usize_incl(0, out.calls.len());
                     out.calls.insert(at, embsan_guestos::executor::ExecCall::new(nr, &args));
@@ -164,7 +161,7 @@ impl Mutator {
                     out.calls.remove(at);
                 }
                 // Duplicate a call (races often need repetition).
-                30..=39 if !out.calls.is_empty() && out.calls.len() < self.max_calls => {
+                30..=39 if !out.calls.is_empty() && out.calls.len() < MAX_CALLS => {
                     let at = rng.range_usize(0, out.calls.len());
                     let call = out.calls[at].clone();
                     out.calls.insert(at, call);
@@ -204,7 +201,7 @@ mod tests {
     use crate::descs::base_descriptions;
 
     fn mutator(strategy: Strategy) -> Mutator {
-        Mutator::new(base_descriptions(), Dictionary::default(), strategy, 12)
+        Mutator::new(base_descriptions(), Dictionary::default(), strategy)
     }
 
     #[test]
@@ -253,8 +250,8 @@ mod tests {
     #[test]
     fn empty_operands_are_bit_identical_to_plain_dictionary() {
         let dict = Dictionary::from_values(&[0x41, 0x1000, 0xBEEF]);
-        let plain = Mutator::new(base_descriptions(), dict.clone(), Strategy::Tardis, 12);
-        let mut loaded = Mutator::new(base_descriptions(), dict, Strategy::Tardis, 12);
+        let plain = Mutator::new(base_descriptions(), dict.clone(), Strategy::Tardis);
+        let mut loaded = Mutator::new(base_descriptions(), dict, Strategy::Tardis);
         loaded.set_operands(&[]);
         let mut a = SplitMix64::seed_from_u64(99);
         let mut b = SplitMix64::seed_from_u64(99);

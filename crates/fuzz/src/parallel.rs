@@ -5,7 +5,14 @@
 //! execution. N workers each own a full `Machine` + [`Session`] (the
 //! translation cache's `Rc` blocks make a session thread-affine, so every
 //! worker builds its own from the same deterministic recipe) and pull
-//! iteration chunks from a work-stealing scheduler.
+//! iteration chunks from a work-stealing scheduler. The workers share one
+//! copy-on-write ready-point base image ([`share_base`]).
+//!
+//! What this engine adds to the sequential [`crate::fuzzer::Fuzzer`] is
+//! only its schedule: epochs, a per-iteration RNG and the canonical merge.
+//! Everything else is the sequential engine's: crash triage
+//! ([`crate::fuzzer::triage`]), the coverage-gated [`Corpus`] and the
+//! [`Mutator`].
 //!
 //! # Determinism argument
 //!
@@ -25,14 +32,9 @@
 //!    program.
 //! 4. At the epoch barrier one worker merges all results *sorted by
 //!    iteration index*: coverage novelty, corpus admission and finding
-//!    dedup (by [`Report::dedup_key`]) are evaluated in that canonical
-//!    order, exactly as a single worker walking the epoch sequentially
-//!    would.
-//!
-//! Workers publish per-execution coverage into a shared atomic edge bitmap
-//! as they go; that bitmap is a live progress/telemetry view only — corpus
-//! and coverage *decisions* always come from the canonical merge, which is
-//! what keeps them schedule-independent.
+//!    dedup (by [`embsan_core::report::Report::dedup_key`]) are evaluated
+//!    in that canonical order, exactly as a single worker walking the epoch
+//!    sequentially would.
 //!
 //! The parallel engine deliberately has no deterministic dictionary stage
 //! (that queue is inherently sequential state); the sequential
@@ -40,14 +42,14 @@
 //! bit-identical single-thread engines.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use embsan_core::report::{BugClass, Report};
+use embsan_core::report::BugClass;
 use embsan_core::session::{BaseImage, Session, SessionError};
 use embsan_emu::CacheStats;
-use embsan_guestos::executor::{sys, ExecProgram};
+use embsan_guestos::executor::ExecProgram;
 use embsan_guestos::FirmwareSpec;
 use embsan_obs::{
     Event, EventKind, MergedTrace, MetricClass, MetricsRegistry, MetricsSnapshot, TraceConfig,
@@ -55,15 +57,15 @@ use embsan_obs::{
 };
 
 use crate::campaign::{
-    attribute_findings, paper_strategy, prepare_session, CampaignConfig, CampaignError,
+    attribute_findings, paper_strategy, prepare_session, share_base, CampaignConfig, CampaignError,
     CampaignResult,
 };
-use crate::corpus::UNSCORED;
-use crate::cover::{CoverageMap, MAP_SIZE};
+use crate::corpus::Corpus;
+use crate::cover::CoverageMap;
 use crate::descs::{descriptions_for, SyscallDesc};
 use crate::dictionary::Dictionary;
 use crate::directed::Direction;
-use crate::fuzzer::{Finding, FuzzerStats, Strategy};
+use crate::fuzzer::{triage, Finding, FuzzerStats, Strategy};
 use crate::mutate::Mutator;
 use crate::rng::SplitMix64;
 
@@ -71,9 +73,13 @@ use crate::rng::SplitMix64;
 /// SplitMix64 stream constant).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Iterations claimed per scheduler grab (work-stealing granularity).
+/// Results do not depend on it.
+const CHUNK: u64 = 8;
+
 /// Parallel engine configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct ParallelConfig {
+pub struct ParallelConfig<'a> {
     /// Worker count (1 runs the same algorithm on one thread).
     pub workers: usize,
     /// Iterations per epoch (merge/snapshot period). Smaller epochs adopt
@@ -82,8 +88,6 @@ pub struct ParallelConfig {
     /// is part of the seed-determinism contract, so comparing runs
     /// requires equal `epoch_len`.
     pub epoch_len: u64,
-    /// Iterations claimed per scheduler grab (work-stealing granularity).
-    pub chunk: u64,
     /// The underlying campaign parameters (iterations, seed, budgets).
     pub campaign: CampaignConfig,
     /// Records a merged event trace ([`TraceConfig::deterministic`] preset:
@@ -91,16 +95,22 @@ pub struct ParallelConfig {
     /// worker). Off by default; tracing never changes findings, corpus or
     /// coverage.
     pub trace: bool,
+    /// Directed-campaign steering. With an analysis loaded, retained
+    /// entries are scored by static distance and picks anneal toward the
+    /// frontier; scores are part of the canonical merge, so the
+    /// determinism contract carries over unchanged. `None` (the default)
+    /// is the undirected engine.
+    pub direction: Option<&'a Direction>,
 }
 
-impl Default for ParallelConfig {
-    fn default() -> ParallelConfig {
+impl Default for ParallelConfig<'_> {
+    fn default() -> Self {
         ParallelConfig {
             workers: 1,
             epoch_len: 64,
-            chunk: 8,
             campaign: CampaignConfig::default(),
             trace: false,
+            direction: None,
         }
     }
 }
@@ -128,12 +138,9 @@ pub struct ParallelStats {
     /// Shadow checks that fell off the inline fast path onto the byte-wise
     /// slow walk, summed over all workers.
     pub slow_path_checks: u64,
-    /// Non-zero buckets in the shared atomic bitmap (live-published
-    /// telemetry; equals `coverage` after the final merge).
-    pub published_coverage: usize,
     /// `(min, mean)` static frontier distance in milli-edges over scored
     /// corpus entries. `None` for undirected runs (every score is
-    /// [`UNSCORED`]) and before anything scored is retained.
+    /// [`crate::corpus::UNSCORED`]) and before anything scored is retained.
     pub frontier: Option<(u32, u32)>,
     /// Logical size of the ready-point base image (RAM plus sanitizer
     /// planes).
@@ -152,28 +159,24 @@ pub struct ParallelStats {
 }
 
 impl ParallelStats {
+    /// The campaign totals, as the sequential engine reports them.
+    pub fn fuzzer_stats(&self) -> FuzzerStats {
+        let ParallelStats { execs, corpus, coverage, findings, .. } = *self;
+        FuzzerStats { execs, corpus, coverage, findings }
+    }
+
     /// Copies these stats into `registry` under the `scheduler` subsystem
     /// (plus the summed `translator` cache counters).
     ///
-    /// Campaign results (execs, corpus, coverage, findings, epochs and the
-    /// converged shared-bitmap coverage) are
+    /// Campaign results (execs, corpus, coverage, findings and epochs) are
     /// [`MetricClass::Deterministic`] — identical for every worker count.
     /// Wall time, the worker count itself and the summed per-worker cache
     /// counters depend on scheduling and are classed as telemetry.
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
         use MetricClass::{Deterministic, Telemetry};
         registry.gauge("scheduler", "workers", Telemetry, self.workers as i64);
-        registry.counter("scheduler", "execs", Deterministic, self.execs);
-        registry.gauge("scheduler", "corpus", Deterministic, self.corpus as i64);
-        registry.gauge("scheduler", "coverage", Deterministic, self.coverage as i64);
-        registry.gauge("scheduler", "findings", Deterministic, self.findings as i64);
+        self.fuzzer_stats().record_into(registry, "scheduler", Deterministic);
         registry.counter("scheduler", "epochs", Deterministic, self.epochs);
-        registry.gauge(
-            "scheduler",
-            "published_coverage",
-            Deterministic,
-            self.published_coverage as i64,
-        );
         registry.counter("scheduler", "fuzz_wall_ms", Telemetry, self.fuzz_wall.as_millis() as u64);
         if let Some((min, mean)) = self.frontier {
             registry.gauge("directed", "frontier_min_milli", Deterministic, i64::from(min));
@@ -215,7 +218,7 @@ impl ParallelStats {
 #[derive(Debug)]
 pub struct ParallelOutcome {
     /// Findings in canonical (iteration) order, deduplicated by
-    /// [`Report::dedup_key`].
+    /// [`embsan_core::report::Report::dedup_key`].
     pub findings: Vec<Finding>,
     /// Final corpus in canonical admission order.
     pub corpus: Vec<ExecProgram>,
@@ -238,7 +241,8 @@ struct IterResult {
 }
 
 /// Immutable per-epoch corpus view: programs plus their static-distance
-/// scores (all [`UNSCORED`] in undirected runs).
+/// scores (all [`crate::corpus::UNSCORED`] in undirected runs). Copied
+/// out of the merge's [`Corpus`] without its coverage map.
 struct Snapshot {
     programs: Vec<ExecProgram>,
     scores: Vec<u32>,
@@ -246,10 +250,7 @@ struct Snapshot {
 
 /// Merge-side state, owned by whichever worker leads each epoch barrier.
 struct MergeState {
-    global: Box<[u8; MAP_SIZE]>,
-    corpus: Vec<ExecProgram>,
-    /// Static-distance score per corpus entry, admission-ordered.
-    scores: Vec<u32>,
+    corpus: Corpus,
     findings: Vec<Finding>,
     seen: HashSet<(BugClass, u32)>,
     execs: u64,
@@ -272,17 +273,20 @@ struct Shared {
     results: Mutex<Vec<IterResult>>,
     merge: Mutex<MergeState>,
     error: Mutex<Option<CampaignError>>,
-    /// Live-published classified coverage (telemetry only; see module doc).
-    bitmap: Vec<AtomicU8>,
     barrier: Barrier,
     fuzz_start: Mutex<Option<Instant>>,
     /// Per-worker exit statistics, pushed as each worker finishes.
     worker_stats: Mutex<Vec<WorkerExit>>,
-    /// First-published ready-point base image. The first worker to come up
-    /// installs its base here; every later worker whose ready-state hash
-    /// matches adopts it and runs as a copy-on-write fork, so N workers
-    /// share one RAM + sanitizer-plane image.
+    /// The ready-point base image every worker shares ([`share_base`]).
     base: Mutex<Option<Arc<BaseImage>>>,
+}
+
+impl Shared {
+    /// Records the run's first failure and stops every worker.
+    fn fail(&self, error: CampaignError) {
+        self.error.lock().unwrap().get_or_insert(error);
+        self.stop.store(true, Ordering::SeqCst);
+    }
 }
 
 /// One worker's exit statistics.
@@ -293,7 +297,7 @@ struct WorkerExit {
     peak_overlay_bytes: u64,
     base_bytes: u64,
     base_resident_bytes: u64,
-    /// Whether this worker forked from the shared base image.
+    /// Whether this worker ran on the shared base image.
     shares_base: bool,
 }
 
@@ -308,14 +312,13 @@ fn iter_rng(seed: u64, iter: u64) -> SplitMix64 {
 fn derive_program(
     mutator: &Mutator,
     snapshot: &Snapshot,
-    direction: Option<&Direction>,
-    seed: u64,
+    config: &ParallelConfig<'_>,
     iter: u64,
 ) -> ExecProgram {
-    let mut rng = iter_rng(seed, iter);
+    let mut rng = iter_rng(config.campaign.seed, iter);
     if snapshot.programs.is_empty() || rng.gen_bool(0.2) {
         mutator.generate(&mut rng)
-    } else if let Some(direction) = direction {
+    } else if let Some(direction) = config.direction {
         // Directed: distance-biased pick over the snapshot scores. The
         // iteration index is the anneal clock — unlike a live exec counter
         // it is a pure function of the schedule-independent iteration id.
@@ -328,68 +331,30 @@ fn derive_program(
     }
 }
 
-/// Runs `candidate` from the pristine snapshot and reports whether
-/// `class` still fires (runtime dedup is off in parallel workers, so every
-/// occurrence is visible).
-fn reproduces(
-    session: &mut Session,
-    candidate: &ExecProgram,
-    budget: u64,
-    class: BugClass,
-) -> Result<bool, SessionError> {
-    session.reset()?;
-    let outcome = session.run_program(candidate, budget)?;
-    Ok(outcome.reports.iter().any(|r| r.class == class))
-}
-
-/// Call-level reproducer minimization, same greedy policy as the
-/// sequential fuzzer's. Deterministic given the program and report.
-fn minimize(
-    session: &mut Session,
-    program: &ExecProgram,
-    report: &Report,
-    budget: u64,
-) -> Result<ExecProgram, SessionError> {
-    let mut current = program.clone();
-    let mut index = 0;
-    while current.calls.len() > 1 && index < current.calls.len() {
-        let mut candidate = current.clone();
-        candidate.calls.remove(index);
-        if reproduces(session, &candidate, budget, report.class)? {
-            current = candidate;
-        } else {
-            index += 1;
-        }
-    }
-    Ok(current)
-}
-
-/// Executes iteration `iter` end to end on a worker's private session.
+/// Executes iteration `iter` end to end on a worker's private session
+/// (report dedup off: every occurrence reaches triage and the merge).
 fn run_iteration(
     session: &mut Session,
     coverage: &mut CoverageMap,
     mutator: &Mutator,
     snapshot: &Snapshot,
-    direction: Option<&Direction>,
-    config: &ParallelConfig,
+    config: &ParallelConfig<'_>,
     iter: u64,
 ) -> Result<IterResult, SessionError> {
     // Rebasing against the iteration-start clock makes the span a pure
     // function of (snapshot state, program): the lifetime clock itself is
     // monotonic across the worker's whole schedule.
     let mark = session.trace_mark();
-    let program = derive_program(mutator, snapshot, direction, config.campaign.seed, iter);
+    let program = derive_program(mutator, snapshot, config, iter);
     coverage.reset();
     session.reset()?;
     let budget = config.campaign.program_budget;
     let outcome = session.run_program_observed(&program, budget, coverage)?;
-    let mut findings = Vec::new();
-    for report in outcome.reports {
-        let minimized = minimize(session, &program, &report, budget)?;
-        let bug_syscalls =
-            minimized.calls.iter().map(|c| c.nr).filter(|&nr| nr >= sys::BUG_BASE).collect();
-        findings.push(Finding { report, program: minimized, bug_syscalls });
-    }
+    let findings = outcome
+        .reports
+        .into_iter()
+        .map(|report| triage(session, &program, report, budget))
+        .collect::<Result<_, _>>()?;
     let events = session.drain_trace(mark);
     Ok(IterResult { iter, program, cover: coverage.classified_sparse(), findings, events })
 }
@@ -397,25 +362,16 @@ fn run_iteration(
 /// The canonical merge: executed by the epoch leader while every other
 /// worker waits at the barrier. Results are reduced sorted by iteration
 /// index, so admission and dedup order is schedule-independent.
-fn merge_epoch(shared: &Shared, config: &ParallelConfig, direction: Option<&Direction>) {
-    let mut results = {
-        let mut guard = shared.results.lock().unwrap();
-        std::mem::take(&mut *guard)
-    };
+fn merge_epoch(shared: &Shared, config: &ParallelConfig<'_>) {
+    let mut results = std::mem::take(&mut *shared.results.lock().unwrap());
     results.sort_unstable_by_key(|r| r.iter);
     let mut state = shared.merge.lock().unwrap();
+    let state = &mut *state;
     for result in results {
         state.execs += 1;
-        if CoverageMap::merge_classified(&mut state.global, &result.cover) > 0 {
-            // Scoring uses the iteration's own sparse export, so the score
-            // too is a pure function of the program — merge-order free.
-            let score = match direction {
-                Some(d) => d.score_sparse(&result.cover),
-                None => UNSCORED,
-            };
-            state.corpus.push(result.program);
-            state.scores.push(score);
-        }
+        // Scoring uses the iteration's own sparse export, so the score too
+        // is a pure function of the program — merge-order free.
+        state.corpus.add_if_novel_sparse(result.program, &result.cover, config.direction);
         for finding in result.findings {
             if state.seen.insert(finding.report.dedup_key()) {
                 state.findings.push(finding);
@@ -426,7 +382,8 @@ fn merge_epoch(shared: &Shared, config: &ParallelConfig, direction: Option<&Dire
         }
     }
     state.epochs += 1;
-    if state.trace.is_some() {
+    let done = shared.epoch_end.load(Ordering::SeqCst);
+    if let Some(trace) = &mut state.trace {
         // Record the canonical post-merge totals as a scheduler event. The
         // span is tagged with the epoch-end boundary, which totally orders
         // it after every iteration it merged.
@@ -435,19 +392,17 @@ fn merge_epoch(shared: &Shared, config: &ParallelConfig, direction: Option<&Dire
             execs: state.execs,
             corpus: state.corpus.len() as u64,
             findings: state.findings.len() as u64,
-            coverage: state.global.iter().filter(|&&b| b != 0).count() as u64,
+            coverage: state.corpus.coverage_buckets() as u64,
         };
-        let boundary = shared.epoch_end.load(Ordering::SeqCst);
-        if let Some(trace) = &mut state.trace {
-            trace.push_span(TraceSpan {
-                iter: boundary,
-                events: vec![Event { clock: 0, seq: 0, kind: merge }],
-            });
-        }
+        trace.push_span(TraceSpan {
+            iter: done,
+            events: vec![Event { clock: 0, seq: 0, kind: merge }],
+        });
     }
-    *shared.snapshot.lock().unwrap() =
-        Arc::new(Snapshot { programs: state.corpus.clone(), scores: state.scores.clone() });
-    let done = shared.epoch_end.load(Ordering::SeqCst);
+    *shared.snapshot.lock().unwrap() = Arc::new(Snapshot {
+        programs: state.corpus.entries().to_vec(),
+        scores: state.corpus.scores().to_vec(),
+    });
     let failed = shared.error.lock().unwrap().is_some();
     if failed || done >= config.campaign.iterations {
         shared.stop.store(true, Ordering::SeqCst);
@@ -459,73 +414,51 @@ fn merge_epoch(shared: &Shared, config: &ParallelConfig, direction: Option<&Dire
     }
 }
 
-/// Per-run mutation inputs shared (immutably) by every worker.
-#[derive(Clone, Copy)]
-struct WorkerSetup<'a> {
-    descs: &'a [SyscallDesc],
-    dict: &'a Dictionary,
-    strategy: Strategy,
-    direction: Option<&'a Direction>,
+/// Brings up worker `worker`'s session: canonical dedup happens at merge
+/// time, so the runtime must report every occurrence, or finding sets
+/// would depend on which worker saw a bug first. Returns the session and
+/// whether it runs on the shared base image.
+fn worker_session<F>(
+    worker: usize,
+    factory: &F,
+    config: &ParallelConfig<'_>,
+    shared: &Shared,
+) -> Result<(Session, bool), CampaignError>
+where
+    F: Fn(usize) -> Result<Session, CampaignError> + Sync,
+{
+    let mut session = factory(worker)?;
+    session.runtime_mut().dedup_enabled = false;
+    session.enable_block_coverage();
+    if config.trace {
+        // Enabled after the factory's boot so spans hold only iteration
+        // events; the deterministic preset skips cache events, whose
+        // timing depends on per-worker warmth.
+        session.enable_tracing(TraceConfig::deterministic());
+    }
+    // Findings are unaffected by sharing: an adopted base is bit-identical
+    // to the private one by construction.
+    let shares_base = share_base(&mut session, &mut shared.base.lock().unwrap())?;
+    Ok((session, shares_base))
 }
 
 /// One worker thread: claim chunks, execute, publish, synchronize.
 fn worker_loop<F>(
     worker: usize,
     factory: &F,
-    setup: WorkerSetup<'_>,
-    config: &ParallelConfig,
+    mutator: &Mutator,
+    config: &ParallelConfig<'_>,
     shared: &Shared,
 ) where
     F: Fn(usize) -> Result<Session, CampaignError> + Sync,
 {
-    let WorkerSetup { descs, dict, strategy, direction } = setup;
-    let mut session = match factory(worker) {
-        Ok(mut session) => {
-            // Canonical dedup happens at merge time; the runtime must
-            // report every occurrence or finding sets would depend on
-            // which worker saw a bug first.
-            session.runtime_mut().dedup_enabled = false;
-            session.enable_block_coverage();
-            if config.trace {
-                // Enabled after the factory's boot so spans hold only
-                // iteration events; the deterministic preset skips cache
-                // events, whose timing depends on per-worker warmth.
-                session.enable_tracing(TraceConfig::deterministic());
-            }
-            // Publish-or-adopt the ready-point base image. Adoption swaps
-            // the worker's private baseline for the shared one (hashes are
-            // verified inside `adopt_base`; a mismatch keeps the private
-            // copy, which is correct but costs a full RAM image). Findings
-            // are unaffected either way: the adopted base is bit-identical
-            // to the private one by construction.
-            let published = {
-                let mut base = shared.base.lock().unwrap();
-                match base.as_ref() {
-                    Some(base) => Some(Arc::clone(base)),
-                    None => {
-                        *base = session.base().cloned();
-                        None
-                    }
-                }
-            };
-            if let Some(base) = published {
-                if let Err(e) = session.adopt_base(&base) {
-                    shared.error.lock().unwrap().get_or_insert(CampaignError::from(e));
-                    shared.stop.store(true, Ordering::SeqCst);
-                }
-            }
-            Some(session)
-        }
+    let (mut session, shares_base) = match worker_session(worker, factory, config, shared) {
+        Ok((session, shares_base)) => (Some(session), shares_base),
         Err(e) => {
-            shared.error.lock().unwrap().get_or_insert(e);
-            shared.stop.store(true, Ordering::SeqCst);
-            None
+            shared.fail(e);
+            (None, false)
         }
     };
-    let mut mutator = Mutator::new(descs.to_vec(), dict.clone(), strategy, 12);
-    if let Some(direction) = direction {
-        mutator.set_operands(direction.operands());
-    }
     let mut coverage = CoverageMap::new();
     // Peak private overlay across the worker's schedule, sampled after
     // each iteration (a reset frees the overlay again, so end-of-run
@@ -540,52 +473,31 @@ fn worker_loop<F>(
         let snapshot = Arc::clone(&shared.snapshot.lock().unwrap());
         let mut batch = Vec::new();
         if let Some(session) = session.as_mut() {
-            while !shared.stop.load(Ordering::Relaxed) {
-                let start = shared.next_iter.fetch_add(config.chunk, Ordering::SeqCst);
+            'claim: while !shared.stop.load(Ordering::Relaxed) {
+                let start = shared.next_iter.fetch_add(CHUNK, Ordering::SeqCst);
                 if start >= end {
                     break;
                 }
-                for iter in start..(start + config.chunk).min(end) {
-                    match run_iteration(
-                        session,
-                        &mut coverage,
-                        &mutator,
-                        &snapshot,
-                        direction,
-                        config,
-                        iter,
-                    ) {
+                for iter in start..(start + CHUNK).min(end) {
+                    match run_iteration(session, &mut coverage, mutator, &snapshot, config, iter) {
                         Ok(result) => {
-                            for &(index, class) in &result.cover {
-                                shared.bitmap[index as usize].fetch_or(class, Ordering::Relaxed);
-                            }
                             peak_overlay = peak_overlay.max(session.overlay_bytes());
                             batch.push(result);
                         }
                         Err(e) => {
                             // Re-derive the failing program (pure function
                             // of seed and iteration) for the error context.
-                            let program = derive_program(
-                                &mutator,
-                                &snapshot,
-                                direction,
-                                config.campaign.seed,
-                                iter,
-                            );
-                            let err = CampaignError::from(e).context(iter, &program);
-                            shared.error.lock().unwrap().get_or_insert(err);
-                            shared.stop.store(true, Ordering::SeqCst);
-                            break;
+                            let program = derive_program(mutator, &snapshot, config, iter);
+                            shared.fail(CampaignError::from(e).context(iter, &program));
+                            break 'claim;
                         }
                     }
                 }
             }
         }
-        if !batch.is_empty() {
-            shared.results.lock().unwrap().extend(batch);
-        }
+        shared.results.lock().unwrap().extend(batch);
         if shared.barrier.wait().is_leader() {
-            merge_epoch(shared, config, direction);
+            merge_epoch(shared, config);
         }
         shared.barrier.wait();
         if shared.stop.load(Ordering::SeqCst) {
@@ -593,12 +505,6 @@ fn worker_loop<F>(
         }
     }
     if let Some(session) = &session {
-        let shares_base = shared
-            .base
-            .lock()
-            .unwrap()
-            .as_ref()
-            .is_some_and(|base| session.base().is_some_and(|own| Arc::ptr_eq(own, base)));
         shared.worker_stats.lock().unwrap().push(WorkerExit {
             cache: session.cache_stats(),
             slow_path_checks: session.runtime().slow_path_checks(),
@@ -612,7 +518,8 @@ fn worker_loop<F>(
     }
 }
 
-/// Runs a parallel fuzzing campaign over sessions produced by `factory`.
+/// Runs a parallel fuzzing campaign over sessions produced by `factory`,
+/// directed when [`ParallelConfig::direction`] is set.
 ///
 /// `factory(worker_index)` must return a *ready* session (already past
 /// `run_to_ready`); it is called once per worker, on that worker's thread,
@@ -628,56 +535,31 @@ fn worker_loop<F>(
 ///
 /// # Panics
 ///
-/// Panics if `workers` is 0 or a worker thread panics.
+/// Panics if `workers` or `epoch_len` is 0, or a worker thread panics.
 pub fn run_parallel<F>(
     factory: F,
     descs: &[SyscallDesc],
     dict: &Dictionary,
     strategy: Strategy,
-    config: &ParallelConfig,
-) -> Result<ParallelOutcome, CampaignError>
-where
-    F: Fn(usize) -> Result<Session, CampaignError> + Sync,
-{
-    run_parallel_directed(factory, descs, dict, strategy, None, config)
-}
-
-/// [`run_parallel`] with optional directed-campaign steering. With
-/// `direction` loaded, every worker scores retained entries by static
-/// distance and anneals its picks toward the frontier; scores are part of
-/// the canonical merge, so the determinism contract (same results for any
-/// worker count) carries over unchanged. `None` is exactly [`run_parallel`].
-///
-/// # Errors
-///
-/// See [`run_parallel`].
-///
-/// # Panics
-///
-/// See [`run_parallel`].
-pub fn run_parallel_directed<F>(
-    factory: F,
-    descs: &[SyscallDesc],
-    dict: &Dictionary,
-    strategy: Strategy,
-    direction: Option<&Direction>,
-    config: &ParallelConfig,
+    config: &ParallelConfig<'_>,
 ) -> Result<ParallelOutcome, CampaignError>
 where
     F: Fn(usize) -> Result<Session, CampaignError> + Sync,
 {
     assert!(config.workers > 0, "need at least one worker");
-    assert!(config.epoch_len > 0 && config.chunk > 0, "degenerate scheduling parameters");
+    assert!(config.epoch_len > 0, "need at least one iteration per epoch");
+    let mut mutator = Mutator::new(descs.to_vec(), dict.clone(), strategy);
+    if let Some(direction) = config.direction {
+        mutator.set_operands(direction.operands());
+    }
     let shared = Shared {
-        stop: AtomicBool::new(false),
+        stop: AtomicBool::new(config.campaign.iterations == 0),
         next_iter: AtomicU64::new(0),
         epoch_end: AtomicU64::new(config.epoch_len.min(config.campaign.iterations)),
         snapshot: Mutex::new(Arc::new(Snapshot { programs: Vec::new(), scores: Vec::new() })),
         results: Mutex::new(Vec::new()),
         merge: Mutex::new(MergeState {
-            global: Box::new([0; MAP_SIZE]),
-            corpus: Vec::new(),
-            scores: Vec::new(),
+            corpus: Corpus::new(),
             findings: Vec::new(),
             seen: HashSet::new(),
             execs: 0,
@@ -685,24 +567,16 @@ where
             trace: config.trace.then(MergedTrace::default),
         }),
         error: Mutex::new(None),
-        bitmap: (0..MAP_SIZE).map(|_| AtomicU8::new(0)).collect(),
         barrier: Barrier::new(config.workers),
         fuzz_start: Mutex::new(None),
         worker_stats: Mutex::new(Vec::new()),
         base: Mutex::new(None),
     };
-    if config.campaign.iterations == 0 {
-        shared.stop.store(true, Ordering::SeqCst);
-    }
 
     std::thread::scope(|scope| {
         for worker in 0..config.workers {
-            let shared = &shared;
-            let factory = &factory;
-            scope.spawn(move || {
-                let setup = WorkerSetup { descs, dict, strategy, direction };
-                worker_loop(worker, factory, setup, config, shared);
-            });
+            let (shared, factory, mutator) = (&shared, &factory, &mutator);
+            scope.spawn(move || worker_loop(worker, factory, mutator, config, shared));
         }
     });
 
@@ -711,92 +585,58 @@ where
     }
     let fuzz_wall =
         shared.fuzz_start.lock().unwrap().map(|start| start.elapsed()).unwrap_or_default();
-    let workers = shared.worker_stats.lock().unwrap();
+    let workers = shared.worker_stats.into_inner().unwrap();
     let max = |field: fn(&WorkerExit) -> u64| workers.iter().map(field).max().unwrap_or(0);
-    let (base_bytes, base_resident_bytes, max_worker_overlay_bytes) =
-        (max(|w| w.base_bytes), max(|w| w.base_resident_bytes), max(|w| w.peak_overlay_bytes));
-    let cache = workers.iter().fold(CacheStats::default(), |cache, w| cache.merged(w.cache));
-    let slow_path_checks = workers.iter().map(|w| w.slow_path_checks).sum();
-    let workers_sharing_base = workers.iter().filter(|w| w.shares_base).count();
-    drop(workers);
-    let published_coverage =
-        shared.bitmap.iter().filter(|b| b.load(Ordering::Relaxed) != 0).count();
     let state = shared.merge.into_inner().unwrap();
     let stats = ParallelStats {
         workers: config.workers,
         execs: state.execs,
         corpus: state.corpus.len(),
-        coverage: state.global.iter().filter(|&&b| b != 0).count(),
+        coverage: state.corpus.coverage_buckets(),
         findings: state.findings.len(),
         epochs: state.epochs,
         fuzz_wall,
-        cache,
-        slow_path_checks,
-        published_coverage,
-        frontier: crate::directed::frontier(&state.scores),
-        base_bytes,
-        base_resident_bytes,
-        max_worker_overlay_bytes,
-        workers_sharing_base,
+        cache: workers.iter().fold(CacheStats::default(), |cache, w| cache.merged(w.cache)),
+        slow_path_checks: workers.iter().map(|w| w.slow_path_checks).sum(),
+        frontier: crate::directed::frontier(state.corpus.scores()),
+        base_bytes: max(|w| w.base_bytes),
+        base_resident_bytes: max(|w| w.base_resident_bytes),
+        max_worker_overlay_bytes: max(|w| w.peak_overlay_bytes),
+        workers_sharing_base: workers.iter().filter(|w| w.shares_base).count(),
     };
     Ok(ParallelOutcome {
         findings: state.findings,
-        corpus: state.corpus,
+        corpus: state.corpus.entries().to_vec(),
         stats,
         trace: state.trace,
     })
 }
 
 /// Runs the parallel engine for one firmware in its Table-1 configuration
-/// (the `embsan fuzz --workers N` path).
+/// (the `embsan fuzz --workers N` path; directed with `--analysis`).
 ///
 /// # Errors
 ///
 /// See [`CampaignError`].
 pub fn run_parallel_campaign(
     spec: &FirmwareSpec,
-    config: &ParallelConfig,
-) -> Result<(CampaignResult, ParallelOutcome), CampaignError> {
-    run_parallel_campaign_directed(spec, None, config)
-}
-
-/// [`run_parallel_campaign`] with optional directed steering (the
-/// `embsan fuzz --workers N --analysis ART` path).
-///
-/// # Errors
-///
-/// See [`CampaignError`].
-pub fn run_parallel_campaign_directed(
-    spec: &FirmwareSpec,
-    direction: Option<&Direction>,
-    config: &ParallelConfig,
+    config: &ParallelConfig<'_>,
 ) -> Result<(CampaignResult, ParallelOutcome), CampaignError> {
     let image = spec
         .build(spec.default_san_mode())
         .map_err(|e| CampaignError::from(e).with_firmware(spec.name))?;
     let dict = Dictionary::extract(&image);
     let descs = descriptions_for(spec);
-    let outcome = run_parallel_directed(
+    let outcome = run_parallel(
         |_worker| prepare_session(spec, &config.campaign).map(|(session, _)| session),
         &descs,
         &dict,
         paper_strategy(spec),
-        direction,
         config,
     )
     .map_err(|e| e.with_firmware(spec.name))?;
     let found = attribute_findings(spec, &outcome.findings);
-    let stats = outcome.stats;
-    let result = CampaignResult {
-        firmware: spec.name,
-        found,
-        stats: FuzzerStats {
-            execs: stats.execs,
-            corpus: stats.corpus,
-            coverage: stats.coverage,
-            findings: stats.findings,
-        },
-    };
+    let result = CampaignResult { firmware: spec.name, found, stats: outcome.stats.fuzzer_stats() };
     Ok((result, outcome))
 }
 
@@ -805,13 +645,12 @@ mod tests {
     use super::*;
     use embsan_guestos::firmware_by_name;
 
-    fn small_config(workers: usize, iterations: u64) -> ParallelConfig {
+    fn small_config(workers: usize, iterations: u64) -> ParallelConfig<'static> {
         ParallelConfig {
             workers,
             epoch_len: 32,
-            chunk: 4,
             campaign: CampaignConfig { iterations, seed: 17, ..CampaignConfig::default() },
-            trace: false,
+            ..ParallelConfig::default()
         }
     }
 
@@ -837,23 +676,6 @@ mod tests {
         let (result, outcome) = run_parallel_campaign(spec, &small_config(2, 0)).unwrap();
         assert_eq!(outcome.stats.execs, 0);
         assert!(result.found.is_empty());
-    }
-
-    #[test]
-    fn published_bitmap_converges_to_merged_coverage() {
-        // The shared atomic bitmap is telemetry while the run is live, but
-        // after the final merge its union over all executed iterations must
-        // equal the canonical coverage map's.
-        let spec = firmware_by_name("TP-Link WDR-7660").unwrap();
-        let (_, outcome) = run_parallel_campaign(spec, &small_config(2, 64)).unwrap();
-        assert!(outcome.stats.coverage > 0);
-        assert_eq!(outcome.stats.published_coverage, outcome.stats.coverage);
-        let snapshot = outcome.stats.metrics_snapshot();
-        assert_eq!(
-            snapshot.value("scheduler", "published_coverage"),
-            Some(outcome.stats.coverage as i64),
-        );
-        assert_eq!(snapshot.value("scheduler", "execs"), Some(64));
     }
 
     #[test]

@@ -165,10 +165,7 @@ impl SupervisedOutcome {
         // appear in `to_json(false)` deterministic artifacts.
         let retries = self.journal_retries;
         registry.counter("supervisor", "journal_io_retries", MetricClass::Telemetry, retries);
-        registry.counter("fuzzer", "execs", Deterministic, stats.execs);
-        registry.gauge("fuzzer", "corpus", Deterministic, stats.corpus as i64);
-        registry.gauge("fuzzer", "coverage", Deterministic, stats.coverage as i64);
-        registry.gauge("fuzzer", "findings", Deterministic, stats.findings as i64);
+        stats.record_into(registry, "fuzzer", Deterministic);
         registry.counter("supervisor", "wedges", Deterministic, health.wedges);
         registry.counter("supervisor", "recoveries", Deterministic, health.recoveries);
         registry.counter("supervisor", "quarantined", Deterministic, health.quarantined);

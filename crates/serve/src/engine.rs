@@ -39,10 +39,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use embsan_core::session::{BaseImage, Session};
-use embsan_fuzz::campaign::{paper_strategy, prepare_session};
+use embsan_fuzz::campaign::{paper_strategy, prepare_session, share_base};
 use embsan_fuzz::{
-    descriptions_for, retry_io, run_supervised_span, CampaignConfig, Dictionary, Journal,
-    ResumePoint, RetryPolicy, StartInfo, SupervisorConfig,
+    descriptions_for, retry_io, run_supervised_span, CampaignConfig, Dictionary, FuzzerStats,
+    Journal, ResumePoint, RetryPolicy, StartInfo, SupervisorConfig,
 };
 use embsan_guestos::{firmware_by_name, FirmwareSpec};
 use embsan_obs::json::Value;
@@ -204,8 +204,9 @@ pub struct ServeEngine {
     bases: BaseCache,
 }
 
-/// Shared per-firmware base images, keyed by [`firmware_identity`].
-type BaseCache = Arc<Mutex<HashMap<u64, Arc<BaseImage>>>>;
+/// Shared per-firmware base image slots ([`share_base`]), keyed by
+/// [`firmware_identity`].
+type BaseCache = Arc<Mutex<HashMap<u64, Option<Arc<BaseImage>>>>>;
 
 impl ServeEngine {
     /// Opens (or creates) the daemon state directory, recovers every job
@@ -636,17 +637,19 @@ impl ServeEngine {
     /// pure function of durable state, so it is identical across any
     /// kill/restart schedule that reaches the same checkpoints.
     pub fn job_report(&self, id: u64) -> JobReport {
-        let Some(job) = self.jobs.get(&id) else { return JobReport::default() };
+        let (iterations, stats) = self.checkpoint_stats(id);
+        let FuzzerStats { execs, corpus, coverage, findings } = stats;
+        JobReport { iterations, execs, corpus, coverage, findings }
+    }
+
+    /// `(iterations, campaign stats)` at the newest checkpoint in job
+    /// `id`'s journal; zeros before the first.
+    fn checkpoint_stats(&self, id: u64) -> (u64, FuzzerStats) {
+        let Some(job) = self.jobs.get(&id) else { return Default::default() };
         let path = job.spec.journal_path(&self.config.state_dir);
-        let Ok(loaded) = Journal::load(&path) else { return JobReport::default() };
-        let Some(cp) = loaded.last_checkpoint() else { return JobReport::default() };
-        JobReport {
-            iterations: cp.iteration,
-            execs: cp.fuzzer.execs,
-            corpus: cp.fuzzer.corpus_entries.len(),
-            coverage: cp.fuzzer.global_map.iter().filter(|&&b| b != 0).count(),
-            findings: cp.fuzzer.findings.len(),
-        }
+        let Ok(loaded) = Journal::load(&path) else { return Default::default() };
+        let Some(cp) = loaded.last_checkpoint() else { return Default::default() };
+        (cp.iteration, cp.fuzzer.stats())
     }
 
     /// The deterministic daemon report (`embsan-serve-report-v1`): per-job
@@ -655,16 +658,16 @@ impl ServeEngine {
     /// kill/restart schedule.
     pub fn report(&self) -> Value {
         let jobs = self.jobs.iter().map(|(&id, job)| {
-            let report = self.job_report(id);
+            let (iterations, stats) = self.checkpoint_stats(id);
             Value::object([
                 ("id", Value::from(id)),
                 ("firmware", Value::from(job.spec.firmware.as_str())),
                 ("phase", Value::from(job.phase.name())),
-                ("iterations", Value::from(report.iterations)),
-                ("execs", Value::from(report.execs)),
-                ("corpus", Value::from(report.corpus)),
-                ("coverage", Value::from(report.coverage)),
-                ("findings", Value::from(report.findings)),
+                ("iterations", Value::from(iterations)),
+                ("execs", Value::from(stats.execs)),
+                ("corpus", Value::from(stats.corpus)),
+                ("coverage", Value::from(stats.coverage)),
+                ("findings", Value::from(stats.findings)),
             ])
         });
         Value::object([
@@ -694,13 +697,10 @@ impl ServeEngine {
                 JobPhase::Quarantined => quarantined += 1,
                 _ => {}
             }
-            let report = self.job_report(*id);
+            let (iterations, stats) = self.checkpoint_stats(*id);
             let sub = format!("job{id:04}");
-            registry.counter(&sub, "iterations", Deterministic, report.iterations);
-            registry.counter(&sub, "execs", Deterministic, report.execs);
-            registry.gauge(&sub, "corpus", Deterministic, report.corpus as i64);
-            registry.gauge(&sub, "coverage", Deterministic, report.coverage as i64);
-            registry.gauge(&sub, "findings", Deterministic, report.findings as i64);
+            registry.counter(&sub, "iterations", Deterministic, iterations);
+            stats.record_into(&mut registry, &sub, Deterministic);
         }
         registry.gauge("store", "uniques", Deterministic, self.store.uniques() as i64);
         registry.gauge("store", "attributions", Deterministic, self.store.attributions() as i64);
@@ -912,22 +912,11 @@ fn ensure_ctx(
     // Share one base image per firmware across the whole daemon. Every job
     // of a firmware boots to the same ready state, so the first session to
     // come up publishes its base and the rest adopt it, holding only their
-    // dirty-page overlays. A hash mismatch (adopt_base returns false)
-    // keeps the private copy — correct, just not shared.
+    // dirty-page overlays.
     {
         let mut cache = bases.lock().unwrap();
-        match cache.get(&firmware_identity(&spec.firmware)) {
-            Some(base) => {
-                let base = Arc::clone(base);
-                drop(cache);
-                session.adopt_base(&base).map_err(|e| format!("base adopt: {e}"))?;
-            }
-            None => {
-                if let Some(own) = session.base() {
-                    cache.insert(firmware_identity(&spec.firmware), Arc::clone(own));
-                }
-            }
-        }
+        let slot = cache.entry(firmware_identity(&spec.firmware)).or_default();
+        share_base(&mut session, slot).map_err(|e| format!("base adopt: {e}"))?;
     }
     ctxs.insert(spec.id, JobCtx { fw, session, dict, journal, start, resume });
     Ok(())

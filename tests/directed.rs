@@ -6,19 +6,17 @@
 
 use embsan::analysis::AnalysisArtifact;
 use embsan::fuzz::campaign::CampaignConfig;
-use embsan::fuzz::parallel::{
-    run_parallel_campaign, run_parallel_campaign_directed, ParallelConfig,
-};
+use embsan::fuzz::parallel::{run_parallel_campaign, ParallelConfig};
 use embsan::fuzz::Direction;
 use embsan::guestos::executor::ExecProgram;
 use embsan::guestos::firmware_by_name;
 
-fn config(workers: usize, seed: u64, iterations: u64) -> ParallelConfig {
+fn config(workers: usize, seed: u64, iterations: u64) -> ParallelConfig<'static> {
     ParallelConfig {
         workers,
         epoch_len: 40,
-        chunk: 4,
         trace: false,
+        direction: None,
         campaign: CampaignConfig { iterations, seed, ..CampaignConfig::default() },
     }
 }
@@ -52,7 +50,8 @@ struct Observed {
 fn observe(firmware: &str, direction: Option<&Direction>, workers: usize, seed: u64) -> Observed {
     let spec = firmware_by_name(firmware).unwrap();
     let (result, outcome) =
-        run_parallel_campaign_directed(spec, direction, &config(workers, seed, 96)).unwrap();
+        run_parallel_campaign(spec, &ParallelConfig { direction, ..config(workers, seed, 96) })
+            .unwrap();
     Observed {
         findings: outcome
             .findings
@@ -108,9 +107,8 @@ fn frontier_metrics_are_deterministic_across_worker_counts() {
     let spec = firmware_by_name(firmware).unwrap();
     let mut baseline: Option<String> = None;
     for workers in [1usize, 2] {
-        let (_, outcome) =
-            run_parallel_campaign_directed(spec, Some(&direction), &config(workers, 17, 96))
-                .unwrap();
+        let directed = ParallelConfig { direction: Some(&direction), ..config(workers, 17, 96) };
+        let (_, outcome) = run_parallel_campaign(spec, &directed).unwrap();
         let snapshot = outcome.stats.metrics_snapshot();
         let (min, mean) = outcome.stats.frontier.expect("directed run scored nothing");
         assert_eq!(snapshot.value("directed", "frontier_min_milli"), Some(i64::from(min)));

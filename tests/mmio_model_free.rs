@@ -89,8 +89,8 @@ fn observe_withheld(spec: &FirmwareSpec, workers: usize, seed: u64, iterations: 
     let config = ParallelConfig {
         workers,
         epoch_len: 16,
-        chunk: 4,
         trace: false,
+        direction: None,
         campaign: withheld_campaign(spec, iterations, seed),
     };
     let (_, outcome): (_, ParallelOutcome) = run_parallel_campaign(spec, &config).unwrap();

@@ -8,12 +8,12 @@ use embsan::fuzz::parallel::{run_parallel_campaign, ParallelConfig, ParallelOutc
 use embsan::guestos::executor::ExecProgram;
 use embsan::guestos::firmware_by_name;
 
-fn config(workers: usize, seed: u64, iterations: u64) -> ParallelConfig {
+fn config(workers: usize, seed: u64, iterations: u64) -> ParallelConfig<'static> {
     ParallelConfig {
         workers,
         epoch_len: 40,
-        chunk: 4,
         trace: false,
+        direction: None,
         campaign: CampaignConfig { iterations, seed, ..CampaignConfig::default() },
     }
 }
