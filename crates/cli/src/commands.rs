@@ -72,7 +72,8 @@ USAGE:
                                  1-worker run (deterministic merges). Ignored
                                  (single-thread) on supervised/journaled runs
       --epoch N                  merge period of the parallel engine
-                                 (iterations per epoch, default 64)
+                                 (iterations per epoch, at least 1, default
+                                 64). Ignored (with a note) without --workers
       --journal FILE             supervised run; stream findings, corpus adds
                                  and checkpoints to an append-only journal
       --resume FILE              resume a killed campaign from its journal
@@ -696,13 +697,18 @@ fn fuzz_fault_plan(parsed: &Parsed) -> Result<Option<embsan_emu::fault::FaultPla
 
 /// Writes the `--trace-out` / `--metrics-out` artifacts of a fuzz run.
 /// Metrics are serialized with deterministic entries only, so the file is
-/// byte-identical across repeated runs and worker counts at a fixed seed.
+/// byte-identical across repeated runs and worker counts at a fixed seed:
+/// the run's degraded-mode entries join the snapshot as Telemetry, which
+/// the file leaves out.
 fn write_fuzz_outputs(
     parsed: &Parsed,
     trace: Option<&embsan_obs::MergedTrace>,
-    snapshot: &embsan_obs::MetricsSnapshot,
+    mut snapshot: embsan_obs::MetricsSnapshot,
+    degraded: Vec<embsan_obs::MetricEntry>,
     meta: &[(&str, &str)],
 ) -> Result<(), String> {
+    snapshot.entries.extend(degraded);
+    snapshot.entries.sort_by(|a, b| (&a.subsystem, &a.name).cmp(&(&b.subsystem, &b.name)));
     if let Some(path) = parsed.option("trace-out") {
         let trace = trace.ok_or("no event trace was collected")?;
         fs::write(path, trace.to_jsonl(meta)).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -770,13 +776,27 @@ fn cmd_fuzz(parsed: &Parsed) -> Result<(), String> {
     if workers_flag && workers == 0 {
         return Err("--workers must be at least 1".to_string());
     }
+    let epoch_len = parsed.option_u64("epoch", 64)?;
+    if epoch_len == 0 {
+        return Err("--epoch must be at least 1".to_string());
+    }
+    let mut degraded = Vec::new();
+    if parsed.option("epoch").is_some() && !workers_flag {
+        // Only the parallel engine merges in epochs; every other path runs
+        // one sequential iteration stream.
+        degraded.push(warn_degraded(
+            "sequential",
+            "epoch_ignored",
+            epoch_len,
+            format!("only --workers runs merge in epochs; ignoring --epoch {epoch_len}"),
+        ));
+    }
     let supervised = parsed.option("journal").is_some()
         || parsed.option("resume").is_some()
         || parsed.option("fault-plan").is_some()
         || parsed.option("kill-after").is_some()
         || parsed.flags.iter().any(|f| f == "supervised");
     if supervised {
-        let mut degraded = Vec::new();
         if workers > 1 {
             // The journaled path's contract is bit-identical single-thread
             // replay; --workers composes by falling back, not by changing
@@ -794,13 +814,13 @@ fn cmd_fuzz(parsed: &Parsed) -> Result<(), String> {
     } else if workers_flag {
         // An explicit --workers always uses the parallel engine — including
         // --workers 1 — so results are comparable across every worker count.
-        cmd_fuzz_parallel(parsed, workers)
+        cmd_fuzz_parallel(parsed, workers, epoch_len)
     } else if parsed.option("trace-out").is_some() {
         // Merged per-iteration traces come from the supervised loop; a
         // traced plain run is a supervised run with the default policy.
-        cmd_fuzz_supervised(parsed, Vec::new())
+        cmd_fuzz_supervised(parsed, degraded)
     } else {
-        cmd_fuzz_plain(parsed)
+        cmd_fuzz_plain(parsed, degraded)
     }
 }
 
@@ -828,12 +848,8 @@ fn warn_degraded(
     }
 }
 
-fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize) -> Result<(), String> {
+fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize, epoch_len: u64) -> Result<(), String> {
     use embsan_fuzz::{run_parallel, Dictionary, ParallelConfig, Strategy};
-    let epoch_len = parsed.option_u64("epoch", 64)?;
-    if epoch_len == 0 {
-        return Err("--epoch must be at least 1".to_string());
-    }
     let image = load_image(parsed)?;
     let (artifacts, cpus) = probe_image(parsed, &image)?;
     let direction = fuzz_direction(parsed, &image)?;
@@ -881,10 +897,11 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize) -> Result<(), String> {
     let seed = config.campaign.seed.to_string();
     let iters = config.campaign.iterations.to_string();
     let meta = [("engine", "parallel"), ("seed", seed.as_str()), ("iterations", iters.as_str())];
-    write_fuzz_outputs(parsed, outcome.trace.as_ref(), &outcome.stats.metrics_snapshot(), &meta)
+    let snapshot = outcome.stats.metrics_snapshot();
+    write_fuzz_outputs(parsed, outcome.trace.as_ref(), snapshot, Vec::new(), &meta)
 }
 
-fn cmd_fuzz_plain(parsed: &Parsed) -> Result<(), String> {
+fn cmd_fuzz_plain(parsed: &Parsed, degraded: Vec<embsan_obs::MetricEntry>) -> Result<(), String> {
     use embsan_fuzz::{Dictionary, Fuzzer, FuzzerConfig, Strategy};
     let image = load_image(parsed)?;
     let campaign = fuzz_campaign(parsed)?;
@@ -909,7 +926,7 @@ fn cmd_fuzz_plain(parsed: &Parsed) -> Result<(), String> {
         println!("frontier: min {min} mean {mean} milli-edges to target");
     }
     print_findings(&fuzzer.into_findings());
-    write_fuzz_outputs(parsed, None, &session.metrics_snapshot(), &[])
+    write_fuzz_outputs(parsed, None, session.metrics_snapshot(), degraded, &[])
 }
 
 /// A supervised run: a fresh campaign from the command line, or with
@@ -986,11 +1003,8 @@ fn cmd_fuzz_supervised(
             _ => e.to_string(),
         })?;
     print_supervised(&outcome);
-    let mut snapshot = outcome.metrics_snapshot();
-    snapshot.entries.extend(degraded);
-    snapshot.entries.sort_by(|a, b| (&a.subsystem, &a.name).cmp(&(&b.subsystem, &b.name)));
     let meta = [("engine", "supervised"), ("seed", seed.as_str()), ("iterations", iters.as_str())];
-    write_fuzz_outputs(parsed, outcome.trace.as_ref(), &snapshot, &meta)
+    write_fuzz_outputs(parsed, outcome.trace.as_ref(), outcome.metrics_snapshot(), degraded, &meta)
 }
 
 #[cfg(unix)]

@@ -143,18 +143,53 @@ fn resume_verifies_the_syscall_descriptions() {
 }
 
 /// Degenerate scheduling values are usage errors (exit 1 with a message),
-/// never an engine panic.
+/// never an engine panic, whichever engine the other flags select.
 #[test]
 fn zero_workers_or_epoch_is_rejected() {
     let image = build_image("degenerate.evfw");
     let image = image.to_str().unwrap();
+    let journal = scratch("degenerate.evj");
+    let trace = scratch("degenerate.jsonl");
     for (flag, argv) in [
-        ("--workers", ["fuzz", image, "--workers", "0", "--epoch", "64"]),
-        ("--epoch", ["fuzz", image, "--workers", "2", "--epoch", "0"]),
+        ("--workers", &["fuzz", image, "--workers", "0", "--epoch", "64"][..]),
+        ("--epoch", &["fuzz", image, "--workers", "2", "--epoch", "0"]),
+        ("--epoch", &["fuzz", image, "--epoch", "0", "--iters", "10"]),
+        ("--epoch", &["fuzz", image, "--epoch", "0", "--supervised"]),
+        ("--epoch", &["fuzz", image, "--epoch", "0", "--journal", journal.to_str().unwrap()]),
+        ("--epoch", &["fuzz", image, "--epoch", "0", "--trace-out", trace.to_str().unwrap()]),
     ] {
         let output = embsan().args(argv).output().unwrap();
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(1), "{argv:?}: {stderr}");
         assert!(stderr.contains(&format!("{flag} must be at least 1")), "{stderr}");
+    }
+}
+
+/// `--epoch` is the parallel engine's merge period. Without `--workers`
+/// the run is sequential: the flag is noted as ignored on stderr, and the
+/// run's stdout and deterministic metrics equal those of the run without it.
+#[test]
+fn epoch_without_workers_is_noted_and_changes_nothing() {
+    let image = build_image("epoch.evfw");
+    let image = image.to_str().unwrap();
+    for mode in [&[][..], &["--supervised"]] {
+        let run = |name: &str, epoch: &[&str]| {
+            let metrics = scratch(name);
+            let base = ["fuzz", image, "--iters", "100", "--seed", "3", "--metrics-out"];
+            let argv = [&base[..], &[metrics.to_str().unwrap()], mode, epoch].concat();
+            let (stdout, stderr) = run_ok_captured(&argv);
+            let stdout = stdout.replace(metrics.to_str().unwrap(), "METRICS");
+            (stdout, stderr, std::fs::read(&metrics).unwrap())
+        };
+        let (plain, plain_err, plain_metrics) = run("no-epoch.json", &[]);
+        let (noted, noted_err, noted_metrics) = run("epoch.json", &["--epoch", "16"]);
+        assert!(!plain_err.contains("degraded-mode"), "{mode:?}: {plain_err}");
+        assert!(
+            noted_err.contains("\"event\":\"degraded-mode\"")
+                && noted_err.contains("ignoring --epoch 16"),
+            "{mode:?}: ignored --epoch not noted:\n{noted_err}"
+        );
+        assert_eq!(plain, noted, "{mode:?}");
+        assert_eq!(plain_metrics, noted_metrics, "{mode:?}");
     }
 }

@@ -82,6 +82,18 @@ impl HealthCounters {
     pub fn is_clean(&self) -> bool {
         self.total() == 0
     }
+
+    /// Copies every counter into `registry` under the `shadow` subsystem,
+    /// all in `class`.
+    pub fn record_into(
+        &self,
+        registry: &mut embsan_obs::MetricsRegistry,
+        class: embsan_obs::MetricClass,
+    ) {
+        registry.counter("shadow", "quarantine_evictions", class, self.quarantine_evictions);
+        registry.counter("shadow", "shadow_clips", class, self.shadow_clips);
+        registry.counter("shadow", "spec_drift", class, self.spec_drift);
+    }
 }
 
 impl std::fmt::Display for HealthCounters {

@@ -283,15 +283,7 @@ impl Session {
             self.runtime.slow_path_checks(),
         );
         registry.counter("shadow", "reports", Deterministic, self.runtime.reports().len() as u64);
-        let health = self.health();
-        registry.counter(
-            "shadow",
-            "quarantine_evictions",
-            Deterministic,
-            health.quarantine_evictions,
-        );
-        registry.counter("shadow", "shadow_clips", Deterministic, health.shadow_clips);
-        registry.counter("shadow", "spec_drift", Deterministic, health.spec_drift);
+        self.health().record_into(registry, Deterministic);
         self.machine.injection_stats().record_into(registry, Deterministic);
         registry.counter("session", "programs_run", Deterministic, self.programs_run);
         registry.histogram("session", "program_insns", Deterministic, self.exec_insns.clone());

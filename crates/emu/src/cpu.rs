@@ -30,24 +30,25 @@ pub enum Csr {
 const CSR_COUNT: usize = 8;
 
 /// The general-purpose register file. `r0` reads as zero and ignores writes.
+///
+/// Invariant: slot 0 holds zero between any two calls. [`Regs::write`]
+/// stores into any slot and then re-zeroes slot 0, so neither side of the
+/// interpreter's hottest path branches on the register index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Regs([u32; 16]);
 
 impl Regs {
     /// Reads a register (`r0` always reads zero).
+    #[inline(always)]
     pub fn read(&self, reg: Reg) -> u32 {
-        if reg == Reg::ZERO {
-            0
-        } else {
-            self.0[reg.index()]
-        }
+        self.0[reg.index()]
     }
 
     /// Writes a register (writes to `r0` are discarded).
+    #[inline(always)]
     pub fn write(&mut self, reg: Reg, value: u32) {
-        if reg != Reg::ZERO {
-            self.0[reg.index()] = value;
-        }
+        self.0[reg.index()] = value;
+        self.0[Reg::ZERO.index()] = 0;
     }
 }
 

@@ -2,16 +2,15 @@
 //! deterministic execution loop.
 
 use std::collections::HashSet;
-use std::rc::Rc;
 
 use crate::bus::{Bus, MemAccess, MemKind};
 use crate::cpu::{Cpu, CpuView, Csr};
 use crate::error::{EmuError, Fault};
 use crate::fault::{ArmedPlan, FaultKind, FaultPlan, HangClass, InjectionStats};
 use crate::hook::{ExecHook, HookAction, HookConfig};
-use crate::isa::{Insn, Reg};
+use crate::isa::Insn;
 use crate::profile::ArchProfile;
-use crate::translate::{call_kind, Block, BlockCache, CallKind, TranslatedOp};
+use crate::translate::{call_kind, Block, BlockCache, BlockId, CallKind, TranslatedOp};
 
 /// Why a [`Machine::run`] call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -678,43 +677,28 @@ impl Machine {
             tracer,
             global_retired,
         };
+        // Host breakpoints cannot change while a quantum runs.
+        let breakpoints_live = ARMED && !breakpoints.is_empty();
+        // Dispatches served through superblock seams, folded into the cache
+        // counters when the quantum ends.
+        let mut seam_dispatches = 0;
         let exit = 'quantum: {
             // The block run by the previous dispatch in this quantum: its
             // chain slots resolve repeat control transfers without a cache
             // lookup. The first dispatch of a quantum always goes through
             // the cache, so chains never outlive a reconfiguration (each
             // quantum re-enters through the active generation).
-            let mut prev: Option<Rc<Block>> = None;
+            let mut prev: Option<BlockId> = None;
             while q.executed < quantum {
                 let pc = q.cpu.pc;
-                let chained = prev.as_ref().and_then(|p| p.chained(pc));
-                let block = match chained {
-                    Some(block) => {
-                        cache.note_chained();
-                        block
-                    }
-                    None => {
-                        let block = match cache.lookup(&*q.bus, pc) {
-                            Ok(block) => block,
-                            Err(fault) => {
-                                hook.fault(&mut q.view(), fault);
-                                break 'quantum QuantumExit::Fault(fault, pc);
-                            }
-                        };
-                        if let Some(p) = &prev {
-                            // Merge across an unconditional direct jump into
-                            // a superblock; where the merge does not apply,
-                            // chain the edge so its next occurrence skips
-                            // the lookup. (This dispatch still runs the
-                            // unmerged block; the superblock serves future
-                            // dispatches of its start.)
-                            if !ends_with_jump_to(p, pc) || cache.try_promote(p, pc).is_none() {
-                                p.install_chain(pc, &block);
-                            }
-                        }
-                        block
+                let id = match cache.enter(&*q.bus, prev, pc) {
+                    Ok(id) => id,
+                    Err(fault) => {
+                        hook.fault(&mut q.view(), fault);
+                        break 'quantum QuantumExit::Fault(fault, pc);
                     }
                 };
+                let block = cache.block(id);
                 if ARMED && cfg.blocks {
                     q.block_enter(hook, pc);
                 }
@@ -722,7 +706,7 @@ impl Machine {
                 while i < block.ops.len() {
                     let op = &block.ops[i];
                     // Host breakpoints (checked only when any are set).
-                    if ARMED && !breakpoints.is_empty() && breakpoints.contains(&op.pc) {
+                    if breakpoints_live && breakpoints.contains(&op.pc) {
                         if *skip_bp_once == Some((idx, op.pc)) {
                             *skip_bp_once = None;
                         } else {
@@ -736,7 +720,7 @@ impl Machine {
                         Step::Next => q.cpu.pc = op.pc.wrapping_add(4),
                         Step::Jump(target) => {
                             q.cpu.pc = target;
-                            if has_seam(&block, i + 1, target) {
+                            if has_seam(block, i + 1, target) {
                                 // The merged continuation starts at the next
                                 // op. Replicate the unmerged flow exactly:
                                 // quantum expiry first (pc already points at
@@ -745,7 +729,7 @@ impl Machine {
                                 if q.executed >= quantum {
                                     break 'quantum QuantumExit::Continue;
                                 }
-                                cache.note_chained();
+                                seam_dispatches += 1;
                                 if ARMED && cfg.blocks {
                                     q.block_enter(hook, target);
                                 }
@@ -782,10 +766,11 @@ impl Machine {
                     }
                     i += 1;
                 }
-                prev = Some(block);
+                prev = Some(id);
             }
             QuantumExit::Continue
         };
+        cache.note_seams(seam_dispatches);
         q.sync();
         exit
     }
@@ -1112,20 +1097,6 @@ fn exec_op<const ARMED: bool, H: ExecHook + ?Sized>(
     }
 }
 
-/// Whether `block` ends in an unconditional direct jump to `target` — the
-/// precondition for merging it with the block at `target` into a superblock
-/// (every execution of the terminator lands on `target`, so a seam there is
-/// always taken).
-fn ends_with_jump_to(block: &Block, target: u32) -> bool {
-    match block.ops.last() {
-        Some(op) => match op.insn {
-            Insn::Jal { rd: Reg::R0, offset } => op.pc.wrapping_add(offset as u32) == target,
-            _ => false,
-        },
-        None => false,
-    }
-}
-
 /// Whether `block` has a superblock seam at op `index` continuing at `pc`.
 #[inline]
 fn has_seam(block: &Block, index: usize, pc: u32) -> bool {
@@ -1167,6 +1138,7 @@ enum Step {
 mod tests {
     use super::*;
     use crate::hook::NullHook;
+    use crate::isa::Reg;
     use crate::profile::ArchProfile;
 
     fn machine_with(insns: &[Insn]) -> Machine {
@@ -1218,6 +1190,73 @@ mod tests {
             let exit = m.run(&mut NullHook, 100).unwrap();
             assert_eq!(exit, RunExit::Halted { code: 0 }, "arch {arch:?}");
             assert_eq!(m.cpu(0).regs.read(Reg::R3), 0x5A, "arch {arch:?}");
+        }
+    }
+
+    /// `r0` reads zero after a write through every rd-writing instruction
+    /// class and through [`CpuView::set_reg`], in the unarmed and the armed
+    /// dispatch loop. Each write is followed by `or r5, r5, r0`, so a
+    /// nonzero `r0` at any point shows in `r5`.
+    #[test]
+    fn r0_stays_zero_through_every_writer() {
+        struct SetR0(u32);
+        impl ExecHook for SetR0 {
+            fn hypercall(&mut self, cpu: &mut CpuView<'_>, _nr: u32) -> HookAction {
+                self.0 += 1;
+                cpu.set_reg(Reg::R0, 0xDEAD);
+                HookAction::Continue
+            }
+        }
+        let ram = ArchProfile::armv().ram_base;
+        let (r0, r1, r2, r3) = (Reg::R0, Reg::R1, Reg::R2, Reg::R3);
+        let writers = [
+            Insn::Add { rd: r0, rs1: r2, rs2: r2 },
+            Insn::Mul { rd: r0, rs1: r2, rs2: r2 },
+            Insn::Sltu { rd: r0, rs1: r0, rs2: r2 },
+            Insn::Addi { rd: r0, rs1: r2, imm: 1 },
+            Insn::Ori { rd: r0, rs1: r2, imm: 0xF0 },
+            Insn::Srai { rd: r0, rs1: r1, shamt: 4 },
+            Insn::Lui { rd: r0, imm: 0x1000 },
+            Insn::Auipc { rd: r0, imm: 0x1000 },
+            Insn::Lw { rd: r0, rs1: r1, imm: 0 },
+            Insn::Lb { rd: r0, rs1: r1, imm: 0 },
+            Insn::AmoAddW { rd: r0, rs1: r1, rs2: r2 },
+            Insn::AmoSwpW { rd: r0, rs1: r1, rs2: r2 },
+            Insn::Csrr { rd: r0, idx: Csr::Cpuid as u16 },
+            Insn::Csrr { rd: r0, idx: Csr::Cycle as u16 },
+            // Falls through to the next instruction, linking into r0.
+            Insn::Jal { rd: r0, offset: 4 },
+            Insn::Hyper { nr: 1 },
+        ];
+        let or_r0 = Insn::Or { rd: Reg::R5, rs1: Reg::R5, rs2: r0 };
+        let mut program = vec![
+            Insn::Lui { rd: r1, imm: ram },
+            Insn::Addi { rd: r2, rs1: r0, imm: 0x55 },
+            Insn::Sw { rs2: r2, rs1: r1, imm: 0 },
+        ];
+        for writer in writers {
+            program.extend([writer, or_r0]);
+        }
+        // `jalr r0` to the instruction after it, linking into r0.
+        program.extend([
+            Insn::Auipc { rd: r3, imm: 0 },
+            Insn::Jalr { rd: r0, rs1: r3, imm: 8 },
+            or_r0,
+            Insn::Halt { code: 0 },
+        ]);
+        for armed in [false, true] {
+            let mut m = machine_with(&program);
+            let mut hook = SetR0(0);
+            if armed {
+                m.set_hook_config(HookConfig::all());
+            }
+            assert_eq!(m.run(&mut hook, 1000).unwrap(), RunExit::Halted { code: 0 });
+            assert_eq!(hook.0, u32::from(armed), "armed {armed}");
+            assert_eq!(m.cpu(0).regs.read(Reg::R5), 0, "armed {armed}");
+            assert_eq!(m.cpu(0).regs.read(r0), 0, "armed {armed}");
+            // The writes ran: the two atomics added 0x55 to the word, then
+            // swapped 0x55 in.
+            assert_eq!(m.read_mem(ram, 4).unwrap(), 0x55, "armed {armed}");
         }
     }
 

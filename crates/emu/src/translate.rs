@@ -9,9 +9,7 @@
 //! call to a delegate function `load_intercept()`"), expressed in a
 //! micro-op interpreter instead of emitted host code.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::{Rc, Weak};
 
 use embsan_obs::{MetricClass, MetricsRegistry};
 
@@ -43,13 +41,12 @@ pub struct TranslatedOp {
     pub probe_call: bool,
 }
 
-/// A resolved successor edge: the block starting at `target`, held weakly
-/// so chained blocks do not keep evicted or flushed blocks alive.
-#[derive(Debug)]
-struct ChainEdge {
-    target: u32,
-    block: Weak<Block>,
-}
+/// The id of a block in its generation's arena (see [`BlockCache`]).
+pub type BlockId = u32;
+
+/// The id an empty chain slot or front-cache entry holds: it indexes no
+/// block.
+const NO_BLOCK: BlockId = BlockId::MAX;
 
 /// Number of chain slots per block. Two covers both edges of a conditional
 /// branch terminator (taken and fall-through).
@@ -59,10 +56,12 @@ const CHAIN_SLOTS: usize = 2;
 ///
 /// Blocks carry two dispatch accelerators on top of their ops:
 ///
-/// * **Chain slots** — weak successor edges installed by the executor so a
-///   repeat of the same control transfer skips the [`BlockCache`] lookup
-///   entirely. Chains are dispatch state, not translation content: clones
-///   start unchained and equality ignores them.
+/// * **Chain slots** — `(target pc, id)` successor edges installed by the
+///   executor so a repeat of the same control transfer skips the
+///   [`BlockCache`] lookup entirely. An edge is followed only while its
+///   target is live. Chains and liveness are dispatch state, not
+///   translation content: clones start unchained and equality ignores
+///   them.
 /// * **Seams** — when blocks are merged into a superblock (see
 ///   [`BlockCache::try_promote`]), each merge point is recorded as
 ///   `(op_index, pc)`: the op at `op_index` is the first instruction of the
@@ -78,50 +77,30 @@ pub struct Block {
     /// Superblock merge points, ascending by op index (empty for plain
     /// blocks).
     pub seams: Vec<(usize, u32)>,
-    chains: RefCell<[Option<ChainEdge>; CHAIN_SLOTS]>,
+    chains: [(u32, BlockId); CHAIN_SLOTS],
+    /// Whether this block is still its generation's block at `start`.
+    /// Promotion replacing it clears the flag, and a chain to a block that
+    /// is not live is never followed.
+    live: bool,
 }
 
 impl Block {
-    /// Creates a plain (seamless, unchained) block.
-    fn new(start: u32, ops: Vec<TranslatedOp>) -> Block {
-        Block { start, ops, seams: Vec::new(), chains: RefCell::default() }
+    /// Creates a plain (seamless, unchained, live) block.
+    fn new(start: u32, ops: Vec<TranslatedOp>, seams: Vec<(usize, u32)>) -> Block {
+        Block { start, ops, seams, chains: [(0, NO_BLOCK); CHAIN_SLOTS], live: true }
     }
 
-    /// Follows the chain edge for `target`, if one is installed and its
-    /// block is still alive.
-    pub(crate) fn chained(&self, target: u32) -> Option<Rc<Block>> {
-        for edge in self.chains.borrow().iter().flatten() {
-            if edge.target == target {
-                return edge.block.upgrade();
-            }
-        }
-        None
-    }
-
-    /// Installs (or refreshes) the chain edge `target → next`. An existing
-    /// slot for the same target is reused, then a free or dead slot; with
-    /// all slots live for other targets the edge is dropped — chains are an
-    /// accelerator, never required for correctness.
-    pub(crate) fn install_chain(&self, target: u32, next: &Rc<Block>) {
-        let mut chains = self.chains.borrow_mut();
-        let mut candidate = None;
-        for (i, slot) in chains.iter().enumerate() {
-            match slot {
-                Some(edge) if edge.target == target => {
-                    candidate = Some(i);
-                    break;
-                }
-                Some(edge) if edge.block.strong_count() == 0 => {
-                    candidate.get_or_insert(i);
-                }
-                Some(_) => {}
-                None => {
-                    candidate.get_or_insert(i);
-                }
-            }
-        }
-        if let Some(i) = candidate {
-            chains[i] = Some(ChainEdge { target, block: Rc::downgrade(next) });
+    /// Whether the block ends in an unconditional direct jump to `target` —
+    /// the precondition for merging it with the block at `target` into a
+    /// superblock (every execution of the terminator lands on `target`, so
+    /// a seam there is always taken).
+    fn ends_with_jump_to(&self, target: u32) -> bool {
+        match self.ops.last() {
+            Some(op) => match op.insn {
+                Insn::Jal { rd: Reg::R0, offset } => op.pc.wrapping_add(offset as u32) == target,
+                _ => false,
+            },
+            None => false,
         }
     }
 }
@@ -129,12 +108,7 @@ impl Block {
 impl Clone for Block {
     fn clone(&self) -> Block {
         // Chains are per-instance dispatch state: a clone starts unchained.
-        Block {
-            start: self.start,
-            ops: self.ops.clone(),
-            seams: self.seams.clone(),
-            chains: RefCell::default(),
-        }
+        Block::new(self.start, self.ops.clone(), self.seams.clone())
     }
 }
 
@@ -208,12 +182,46 @@ impl CacheStats {
 #[derive(Debug)]
 struct Generation {
     config: HookConfig,
-    blocks: HashMap<u32, Rc<Block>>,
+    /// The arena: every block translated or formed under `config` since the
+    /// generation was last cleared, addressed by id. A block that promotion
+    /// replaced stays in place, not live, so no id ever points elsewhere.
+    blocks: Vec<Block>,
+    /// The live block at each start address.
+    index: HashMap<u32, BlockId>,
     /// Reconfiguration clock at last activation (LRU victim selection).
     last_used: u64,
 }
 
+impl Generation {
+    fn new(config: HookConfig, last_used: u64) -> Generation {
+        Generation { config, blocks: Vec::new(), index: HashMap::new(), last_used }
+    }
+
+    /// Drops every block, retiring every id issued so far.
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.index.clear();
+    }
+
+    /// Adds `block` to the arena as the live block at its start address,
+    /// marking the block it replaces there (if any) not live.
+    fn install(&mut self, block: Block) -> BlockId {
+        let id = self.blocks.len() as BlockId;
+        if let Some(old) = self.index.insert(block.start, id) {
+            self.blocks[old as usize].live = false;
+        }
+        self.blocks.push(block);
+        id
+    }
+}
+
 /// Cache of translated blocks, keyed by `(start address, generation)`.
+///
+/// Each generation holds its blocks in an arena addressed by [`BlockId`]s;
+/// the executor, the front cache and chain slots all refer to blocks by id.
+/// An id stays valid until its generation is cleared, flushed or evicted,
+/// none of which can happen while a quantum runs, except the defensive
+/// overflow clear (see [`BlockCache::enter`]).
 ///
 /// Each [`HookConfig`] the machine runs under gets its own *generation* of
 /// translated blocks. Switching configurations via
@@ -231,7 +239,7 @@ pub struct BlockCache {
     /// Direct-mapped front cache over the active generation (the analogue
     /// of TCG's block chaining): most lookups hit here without touching the
     /// hash map. Invalidated on generation switch.
-    front: Vec<Option<Rc<Block>>>,
+    front: Vec<BlockId>,
     /// Reconfiguration clock driving `Generation::last_used`.
     clock: u64,
     stats: CacheStats,
@@ -251,9 +259,10 @@ const FRONT_SIZE: usize = 1 << 14;
 /// as a victim).
 pub const MAX_GENERATIONS: usize = 8;
 
-/// Per-generation block-count bound: a generation that somehow exceeds this
-/// is cleared rather than growing without limit (defensive; real firmware
-/// text is orders of magnitude smaller).
+/// Per-generation arena bound, counting replaced blocks too: a generation
+/// that somehow reaches it is cleared rather than growing without limit
+/// (defensive; real firmware text is orders of magnitude smaller), and
+/// promotion stops forming superblocks in a full arena.
 const MAX_BLOCKS_PER_GENERATION: usize = 1 << 16;
 
 #[inline]
@@ -265,11 +274,7 @@ impl BlockCache {
     /// Creates an empty cache with no probes armed.
     pub fn new() -> BlockCache {
         BlockCache {
-            gens: vec![Generation {
-                config: HookConfig::none(),
-                blocks: HashMap::new(),
-                last_used: 0,
-            }],
+            gens: vec![Generation::new(HookConfig::none(), 0)],
             current: 0,
             front: Vec::new(),
             clock: 0,
@@ -331,7 +336,7 @@ impl BlockCache {
                 generations: self.gens.len() as u32,
             });
         }
-        self.gens.push(Generation { config, blocks: HashMap::new(), last_used: self.clock });
+        self.gens.push(Generation::new(config, self.clock));
         self.current = self.gens.len() - 1;
     }
 
@@ -339,7 +344,7 @@ impl BlockCache {
     /// code patching — the translated code is stale in *all* generations).
     pub fn flush(&mut self) {
         for gen in &mut self.gens {
-            gen.blocks.clear();
+            gen.clear();
         }
         self.front.clear();
         self.stats.flushes += 1;
@@ -362,16 +367,83 @@ impl BlockCache {
         self.stats
     }
 
-    /// Records a dispatch served through a chain edge or a superblock seam:
-    /// still a hit (the dispatch ran cached translation), but one that
-    /// skipped the lookup path entirely.
-    pub(crate) fn note_chained(&mut self) {
-        self.stats.hits += 1;
-        self.stats.chained_dispatches += 1;
+    /// The block `id` of the active generation.
+    #[inline(always)]
+    pub fn block(&self, id: BlockId) -> &Block {
+        &self.gens[self.current].blocks[id as usize]
     }
 
-    /// Merges `prev` with the cached block at `target` into a superblock
-    /// installed at `prev.start`, recording the merge point as a seam.
+    /// Records `count` dispatches served through superblock seams: hits
+    /// (they ran cached translation) that skipped the lookup path entirely.
+    pub(crate) fn note_seams(&mut self, count: u64) {
+        self.stats.hits += count;
+        self.stats.chained_dispatches += count;
+    }
+
+    /// The executor's dispatch step: the id of the block at `pc`, entered
+    /// from `prev`, the block the previous dispatch of the quantum ran.
+    ///
+    /// A live chain edge `prev → pc` answers without a lookup. Otherwise the
+    /// block is looked up (or translated) and `prev` is linked to it: merged
+    /// into a superblock across an unconditional direct jump, else chained
+    /// so the edge's next occurrence skips the lookup. (This dispatch still
+    /// runs the unmerged block; the superblock serves future dispatches of
+    /// its start.) An overflow clear during the lookup retires `prev`'s id,
+    /// so nothing is linked then.
+    ///
+    /// # Errors
+    ///
+    /// Returns a fetch or decode fault if `pc` does not point at valid code.
+    #[inline(always)]
+    pub(crate) fn enter(
+        &mut self,
+        bus: &Bus,
+        prev: Option<BlockId>,
+        pc: u32,
+    ) -> Result<BlockId, Fault> {
+        let Some(prev) = prev else {
+            return self.lookup(bus, pc);
+        };
+        if let Some(id) = self.chained(prev, pc) {
+            self.stats.hits += 1;
+            self.stats.chained_dispatches += 1;
+            return Ok(id);
+        }
+        let (id, cleared) = self.resolve(bus, pc)?;
+        if !cleared && (!self.block(prev).ends_with_jump_to(pc) || !self.try_promote(prev, pc)) {
+            self.install_chain(prev, pc, id);
+        }
+        Ok(id)
+    }
+
+    /// Follows the chain edge `from → target`, if one is installed and its
+    /// block is still live.
+    #[inline(always)]
+    fn chained(&self, from: BlockId, target: u32) -> Option<BlockId> {
+        let blocks = &self.gens[self.current].blocks;
+        let (_, id) = blocks[from as usize].chains.into_iter().find(|&(t, _)| t == target)?;
+        blocks.get(id as usize).filter(|block| block.live).map(|_| id)
+    }
+
+    /// Installs (or refreshes) the chain edge `from → target` to block
+    /// `next`. An existing slot for the same target is reused, then an
+    /// empty slot or one whose block is not live; with all slots live for
+    /// other targets the edge is dropped — chains are an accelerator, never
+    /// required for correctness.
+    fn install_chain(&mut self, from: BlockId, target: u32, next: BlockId) {
+        let blocks = &mut self.gens[self.current].blocks;
+        let chains = &blocks[from as usize].chains;
+        let slot = chains.iter().position(|&(t, _)| t == target).or_else(|| {
+            chains.iter().position(|&(_, id)| blocks.get(id as usize).is_none_or(|b| !b.live))
+        });
+        if let Some(i) = slot {
+            blocks[from as usize].chains[i] = (target, next);
+        }
+    }
+
+    /// Merges block `prev` with the live block at `target` into a
+    /// superblock installed at `prev`'s start, recording the merge point as
+    /// a seam. The block it replaces there stops being live.
     ///
     /// The caller guarantees `prev` ends in an unconditional direct jump to
     /// `target` (the seam contract: every execution of the last op of
@@ -379,66 +451,74 @@ impl BlockCache {
     /// cached under its own start address — quantum expiry at a seam resumes
     /// through a plain lookup of the seam pc.
     ///
-    /// Returns `None` when the merge does not apply (target not in the
-    /// active generation's map, or the combined block would exceed
-    /// [`MAX_SUPERBLOCK_LEN`]).
-    pub(crate) fn try_promote(&mut self, prev: &Rc<Block>, target: u32) -> Option<Rc<Block>> {
+    /// Returns `false` when the merge does not apply (target not in the
+    /// active generation's index, the combined block would exceed
+    /// [`MAX_SUPERBLOCK_LEN`], or the arena is full).
+    fn try_promote(&mut self, prev: BlockId, target: u32) -> bool {
         let gen = &mut self.gens[self.current];
-        // Clone out before mutating the map: with a self-loop `target` is
-        // `prev.start` and the insert below replaces this very entry.
-        let next = Rc::clone(gen.blocks.get(&target)?);
-        if prev.ops.len() + next.ops.len() > MAX_SUPERBLOCK_LEN {
-            return None;
+        let Some(&next) = gen.index.get(&target) else {
+            return false;
+        };
+        let (head, tail) = (&gen.blocks[prev as usize], &gen.blocks[next as usize]);
+        if head.ops.len() + tail.ops.len() > MAX_SUPERBLOCK_LEN
+            || gen.blocks.len() >= MAX_BLOCKS_PER_GENERATION
+        {
+            return false;
         }
-        let mut ops = Vec::with_capacity(prev.ops.len() + next.ops.len());
-        ops.extend_from_slice(&prev.ops);
-        ops.extend_from_slice(&next.ops);
-        let mut seams = prev.seams.clone();
-        seams.push((prev.ops.len(), target));
-        seams.extend(next.seams.iter().map(|&(i, pc)| (i + prev.ops.len(), pc)));
-        let superblock =
-            Rc::new(Block { start: prev.start, ops, seams, chains: RefCell::default() });
-        gen.blocks.insert(prev.start, Rc::clone(&superblock));
+        let mut ops = Vec::with_capacity(head.ops.len() + tail.ops.len());
+        ops.extend_from_slice(&head.ops);
+        ops.extend_from_slice(&tail.ops);
+        let mut seams = head.seams.clone();
+        seams.push((head.ops.len(), target));
+        seams.extend(tail.seams.iter().map(|&(i, pc)| (i + head.ops.len(), pc)));
+        let start = head.start;
+        let id = gen.install(Block::new(start, ops, seams));
         if !self.front.is_empty() {
-            self.front[front_index(prev.start)] = Some(Rc::clone(&superblock));
+            self.front[front_index(start)] = id;
         }
         self.stats.superblocks_formed += 1;
-        Some(superblock)
+        true
     }
 
     /// Looks up (or translates) the block starting at `pc` in the active
-    /// generation.
+    /// generation and returns its id.
     ///
     /// # Errors
     ///
     /// Returns a fetch or decode fault if `pc` does not point at valid code.
-    pub fn lookup(&mut self, bus: &Bus, pc: u32) -> Result<Rc<Block>, Fault> {
+    pub fn lookup(&mut self, bus: &Bus, pc: u32) -> Result<BlockId, Fault> {
+        self.resolve(bus, pc).map(|(id, _)| id)
+    }
+
+    /// [`BlockCache::lookup`], also telling whether a translation found the
+    /// arena full and cleared the generation, retiring every earlier id.
+    fn resolve(&mut self, bus: &Bus, pc: u32) -> Result<(BlockId, bool), Fault> {
         if self.front.is_empty() {
-            self.front.resize(FRONT_SIZE, None);
+            self.front.resize(FRONT_SIZE, NO_BLOCK);
         }
         let slot = front_index(pc);
-        if let Some(block) = &self.front[slot] {
-            if block.start == pc {
-                self.stats.hits += 1;
-                return Ok(Rc::clone(block));
-            }
-        }
         let gen = &mut self.gens[self.current];
-        if let Some(block) = gen.blocks.get(&pc) {
+        let id = self.front[slot];
+        if gen.blocks.get(id as usize).is_some_and(|block| block.start == pc) {
             self.stats.hits += 1;
-            let block = Rc::clone(block);
-            self.front[slot] = Some(Rc::clone(&block));
-            return Ok(block);
+            return Ok((id, false));
         }
-        let block = Rc::new(translate_block(bus, pc, gen.config)?);
+        if let Some(&id) = gen.index.get(&pc) {
+            self.stats.hits += 1;
+            self.front[slot] = id;
+            return Ok((id, false));
+        }
+        let block = translate_block(bus, pc, gen.config)?;
         self.stats.translations += 1;
         self.tracer.record(embsan_obs::EventKind::BlockTranslate { pc });
-        if gen.blocks.len() >= MAX_BLOCKS_PER_GENERATION {
-            gen.blocks.clear();
+        let cleared = gen.blocks.len() >= MAX_BLOCKS_PER_GENERATION;
+        if cleared {
+            gen.clear();
+            self.front.fill(NO_BLOCK);
         }
-        gen.blocks.insert(pc, Rc::clone(&block));
-        self.front[slot] = Some(Rc::clone(&block));
-        Ok(block)
+        let id = gen.install(block);
+        self.front[slot] = id;
+        Ok((id, cleared))
     }
 }
 
@@ -503,7 +583,7 @@ fn translate_block(bus: &Bus, pc: u32, config: HookConfig) -> Result<Block, Faul
         }
         cur = cur.wrapping_add(4);
     }
-    Ok(Block::new(pc, ops))
+    Ok(Block::new(pc, ops, Vec::new()))
 }
 
 /// Classification of a call-probe op used by the executor.
@@ -548,7 +628,8 @@ mod tests {
             Insn::Halt { code: 0 }, // unreachable, not part of block
         ]);
         let mut cache = BlockCache::new();
-        let block = cache.lookup(&bus, base).unwrap();
+        let id = cache.lookup(&bus, base).unwrap();
+        let block = cache.block(id);
         assert_eq!(block.ops.len(), 3);
         assert!(matches!(block.ops[2].insn, Insn::Jal { .. }));
     }
@@ -560,11 +641,13 @@ mod tests {
             Insn::Halt { code: 0 },
         ]);
         let mut cache = BlockCache::new();
-        let block = cache.lookup(&bus, base).unwrap();
+        let id = cache.lookup(&bus, base).unwrap();
+        let block = cache.block(id);
         assert!(!block.ops[0].probe_mem);
 
         cache.reconfigure(HookConfig { mem: true, ..HookConfig::none() });
-        let block = cache.lookup(&bus, base).unwrap();
+        let id = cache.lookup(&bus, base).unwrap();
+        let block = cache.block(id);
         assert!(block.ops[0].probe_mem);
         assert!(!block.ops[1].probe_mem); // halt is not a memory access
     }
@@ -683,7 +766,164 @@ mod tests {
         let insns = vec![Insn::Nop; MAX_BLOCK_LEN + 10];
         let (bus, base) = bus_with_text(&insns);
         let mut cache = BlockCache::new();
-        let block = cache.lookup(&bus, base).unwrap();
+        let id = cache.lookup(&bus, base).unwrap();
+        let block = cache.block(id);
         assert_eq!(block.ops.len(), MAX_BLOCK_LEN);
+    }
+
+    /// Block `A` at `base` (a load, then `jal r0` to `B`) and block `B` at
+    /// `base + 8` (then a conditional branch back to `A`): `A → B` merges
+    /// into a superblock, `B → A` chains.
+    fn two_block_loop() -> (Bus, u32, u32) {
+        let (bus, base) = bus_with_text(&[
+            Insn::Lw { rd: Reg::R1, rs1: Reg::R2, imm: 0 },
+            Insn::Jal { rd: Reg::R0, offset: 4 },
+            Insn::Addi { rd: Reg::R2, rs1: Reg::R2, imm: 1 },
+            Insn::Beq { rs1: Reg::R0, rs2: Reg::R0, offset: -12 },
+        ]);
+        (bus, base, base + 8)
+    }
+
+    fn chain_targets(cache: &BlockCache, id: BlockId) -> Vec<u32> {
+        cache.block(id).chains.iter().filter(|&&(_, to)| to != NO_BLOCK).map(|&(t, _)| t).collect()
+    }
+
+    fn arena_len(cache: &BlockCache) -> usize {
+        cache.gens[cache.current].blocks.len()
+    }
+
+    #[test]
+    fn promotion_retires_the_replaced_block_and_its_chains() {
+        let (bus, a_pc, b_pc) = two_block_loop();
+        let mut cache = BlockCache::new();
+        let a = cache.lookup(&bus, a_pc).unwrap();
+        let b = cache.lookup(&bus, b_pc).unwrap();
+        // B ends in a conditional branch: entering A from B chains the edge.
+        assert_eq!(cache.enter(&bus, Some(b), a_pc), Ok(a));
+        assert_eq!(cache.chained(b, a_pc), Some(a));
+        // A ends in `jal r0` to B: entering B from A replaces A by A+B.
+        assert_eq!(cache.enter(&bus, Some(a), b_pc), Ok(b));
+        assert_eq!(cache.stats().superblocks_formed, 1);
+        let merged = cache.lookup(&bus, a_pc).unwrap();
+        assert_ne!(merged, a);
+        assert_eq!(cache.block(merged).seams, vec![(2, b_pc)]);
+        // The replaced block keeps its id and its ops, but is not live: the
+        // chain to it is not followed, and the next entry re-links to A+B
+        // in the same slot.
+        assert!(!cache.block(a).live);
+        assert_eq!(cache.block(a).ops.len(), 2);
+        assert_eq!(cache.chained(b, a_pc), None);
+        let chained = cache.stats().chained_dispatches;
+        assert_eq!(cache.enter(&bus, Some(b), a_pc), Ok(merged));
+        assert_eq!(cache.stats().chained_dispatches, chained);
+        assert_eq!(cache.chained(b, a_pc), Some(merged));
+        assert_eq!(chain_targets(&cache, b), vec![a_pc]);
+        assert_eq!(arena_len(&cache), 3);
+    }
+
+    #[test]
+    fn ids_index_the_active_generation_across_lru_eviction() {
+        let (bus, a_pc, b_pc) = two_block_loop();
+        let mut cache = BlockCache::new();
+        let configs: Vec<HookConfig> = (0u8..16)
+            .map(|bits| HookConfig {
+                mem: bits & 1 != 0,
+                hypercalls: bits & 2 != 0,
+                blocks: bits & 4 != 0,
+                calls: bits & 8 != 0,
+            })
+            .collect();
+        // Each generation gets its own `B → A` chain, built in a different
+        // order per generation so equal ids would name different blocks.
+        let mut ids = Vec::new();
+        for (n, config) in configs.iter().enumerate() {
+            cache.reconfigure(*config);
+            let (a, b) = if n % 2 == 0 {
+                let a = cache.lookup(&bus, a_pc).unwrap();
+                (a, cache.lookup(&bus, b_pc).unwrap())
+            } else {
+                let b = cache.lookup(&bus, b_pc).unwrap();
+                (cache.lookup(&bus, a_pc).unwrap(), b)
+            };
+            assert_eq!(cache.enter(&bus, Some(b), a_pc), Ok(a));
+            ids.push((a, b));
+        }
+        assert_eq!(cache.stats().generation_evictions as usize, configs.len() - MAX_GENERATIONS);
+        // Eviction shifted the retained generations; their ids and chains
+        // still name their own blocks.
+        let retained = configs.len() - MAX_GENERATIONS;
+        for (config, &(a, b)) in configs.iter().zip(&ids).skip(retained) {
+            cache.reconfigure(*config);
+            assert_eq!(cache.lookup(&bus, a_pc), Ok(a));
+            assert_eq!(cache.block(a).start, a_pc);
+            assert_eq!(cache.block(a).ops[0].probe_mem, config.mem);
+            assert_eq!(cache.block(b).start, b_pc);
+            assert_eq!(cache.chained(b, a_pc), Some(a));
+        }
+        // An evicted configuration starts a fresh, unchained arena.
+        let translations = cache.translation_count();
+        cache.reconfigure(configs[0]);
+        let b = cache.lookup(&bus, b_pc).unwrap();
+        assert_eq!((b, cache.translation_count()), (0, translations + 1));
+        assert_eq!(cache.block(b).start, b_pc);
+        assert!(chain_targets(&cache, b).is_empty());
+        assert!(cache.gens.len() <= MAX_GENERATIONS);
+    }
+
+    #[test]
+    fn flush_retires_every_id_and_chain() {
+        let (bus, a_pc, b_pc) = two_block_loop();
+        let mut cache = BlockCache::new();
+        let a = cache.lookup(&bus, a_pc).unwrap();
+        let b = cache.enter(&bus, Some(a), b_pc).unwrap();
+        cache.enter(&bus, Some(b), a_pc).unwrap();
+        assert_eq!(cache.stats().superblocks_formed, 1);
+        cache.flush();
+        assert_eq!(arena_len(&cache), 0);
+        // Ids restart from 0 in the opposite order: the front cache must not
+        // serve A's old id for B.
+        let translations = cache.translation_count();
+        let new_b = cache.lookup(&bus, b_pc).unwrap();
+        assert_eq!(new_b, a);
+        assert_eq!(cache.block(new_b).start, b_pc);
+        let new_a = cache.lookup(&bus, a_pc).unwrap();
+        assert_eq!(cache.block(new_a).start, a_pc);
+        assert!(cache.block(new_a).seams.is_empty());
+        assert_eq!(cache.translation_count(), translations + 2);
+        assert_eq!(cache.chained(new_b, a_pc), None);
+        assert!(chain_targets(&cache, new_b).is_empty());
+    }
+
+    #[test]
+    fn overflow_clear_drops_the_stale_prev_and_keeps_the_arena_bounded() {
+        // Block 0 jumps (`jal r0`) past MAX_BLOCKS_PER_GENERATION - 1
+        // single-op filler blocks to the block at `target`.
+        let n = MAX_BLOCKS_PER_GENERATION;
+        let mut insns = vec![Insn::Jal { rd: Reg::R0, offset: 4 * n as i32 }];
+        insns.extend(std::iter::repeat_n(Insn::Halt { code: 0 }, n));
+        let (bus, base) = bus_with_text(&insns);
+        let target = base + 4 * n as u32;
+        let mut cache = BlockCache::new();
+        let prev = cache.lookup(&bus, base).unwrap();
+        for i in 1..n as u32 {
+            cache.lookup(&bus, base + 4 * i).unwrap();
+        }
+        assert_eq!(arena_len(&cache), n);
+        // A full arena forms no superblock.
+        assert!(!cache.try_promote(prev, base + 4));
+        // Translating `target` clears the full generation; `prev`'s id now
+        // names `target`'s block, so the edge must be neither merged nor
+        // chained from it.
+        let id = cache.enter(&bus, Some(prev), target).unwrap();
+        assert_eq!(id, prev);
+        assert_eq!(arena_len(&cache), 1);
+        assert_eq!(cache.block(id).start, target);
+        assert!(cache.block(id).seams.is_empty());
+        assert!(chain_targets(&cache, id).is_empty());
+        assert_eq!(cache.stats().superblocks_formed, 0);
+        // Every dropped block translates afresh, under a new id.
+        let again = cache.lookup(&bus, base).unwrap();
+        assert_eq!((again, cache.block(again).start), (1, base));
+        assert_eq!(cache.translation_count(), n as u64 + 2);
     }
 }

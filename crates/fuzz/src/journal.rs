@@ -273,6 +273,23 @@ pub struct SupervisorHealth {
     pub checkpoints: u64,
 }
 
+impl SupervisorHealth {
+    /// Copies every counter into `registry` under the `supervisor`
+    /// subsystem, all in `class`.
+    pub fn record_into(
+        &self,
+        registry: &mut embsan_obs::MetricsRegistry,
+        class: embsan_obs::MetricClass,
+    ) {
+        registry.counter("supervisor", "wedges", class, self.wedges);
+        registry.counter("supervisor", "recoveries", class, self.recoveries);
+        registry.counter("supervisor", "quarantined", class, self.quarantined);
+        registry.counter("supervisor", "transient_retries", class, self.transient_retries);
+        registry.counter("supervisor", "wfi_hangs", class, self.wfi_hangs);
+        registry.counter("supervisor", "checkpoints", class, self.checkpoints);
+    }
+}
+
 /// One full-state checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {

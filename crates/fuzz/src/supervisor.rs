@@ -159,24 +159,13 @@ impl SupervisedOutcome {
     /// journal-IO retry count is [`MetricClass::Deterministic`].
     pub fn collect_metrics(&self, registry: &mut MetricsRegistry) {
         use MetricClass::Deterministic;
-        let (stats, health) = (&self.stats, &self.health);
         // Journal-IO retry counts reflect host filesystem behaviour, not
         // guest execution, so they ride in the Telemetry class and never
         // appear in `to_json(false)` deterministic artifacts.
         let retries = self.journal_retries;
         registry.counter("supervisor", "journal_io_retries", MetricClass::Telemetry, retries);
-        stats.record_into(registry, "fuzzer", Deterministic);
-        registry.counter("supervisor", "wedges", Deterministic, health.wedges);
-        registry.counter("supervisor", "recoveries", Deterministic, health.recoveries);
-        registry.counter("supervisor", "quarantined", Deterministic, health.quarantined);
-        registry.counter(
-            "supervisor",
-            "transient_retries",
-            Deterministic,
-            health.transient_retries,
-        );
-        registry.counter("supervisor", "wfi_hangs", Deterministic, health.wfi_hangs);
-        registry.counter("supervisor", "checkpoints", Deterministic, health.checkpoints);
+        self.stats.record_into(registry, "fuzzer", Deterministic);
+        self.health.record_into(registry, Deterministic);
         self.injection.record_into(registry, Deterministic);
     }
 
