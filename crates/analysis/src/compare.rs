@@ -23,7 +23,7 @@ pub struct CmpOperand {
     /// The constant one side of the comparison resolves to.
     pub value: u32,
     /// Start address of the guarding block (the block containing the
-    /// compare/branch) — the natural direction target for this gate.
+    /// compare/branch).
     pub block: u32,
 }
 

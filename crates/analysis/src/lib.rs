@@ -1,6 +1,6 @@
 //! Static analysis for the EMBSAN reproduction.
 //!
-//! Four passes over a [`FirmwareImage`](embsan_asm::image::FirmwareImage),
+//! Passes over a [`FirmwareImage`](embsan_asm::image::FirmwareImage),
 //! composing with the dynamic pipeline rather than replacing it:
 //!
 //! - [`cfg`] — CFG recovery straight from the text section: linear-sweep +
@@ -17,21 +17,18 @@
 //! - [`races`] — lockset-based race candidates: shared RAM addresses
 //!   reached on paths not provably holding an AMO spinlock, ranked for the
 //!   KCSAN engine's watchpoint prioritization.
-//! - [`distance`] — Böhme-style static distance from every basic block to a
-//!   target set, over the call graph (harmonic mean) and block graph.
 //! - [`compare`] — comparison-operand harvesting: multi-byte constants
 //!   tested by compare/branch instructions, reassembled by constant
 //!   propagation, with their guarding blocks.
-//! - [`artifact`] — the versioned `embsan-analysis-v1` JSON document that
-//!   packages the flow graph, harvest, and default targets so one analysis
-//!   run feeds many directed campaigns.
+//! - [`artifact`] — the versioned `embsan-analysis-v2` JSON document that
+//!   packages the harvest so one analysis run feeds many directed
+//!   campaigns.
 
 pub mod allocsig;
 pub mod artifact;
 pub mod audit;
 pub mod cfg;
 pub mod compare;
-pub mod distance;
 pub mod races;
 
 pub use allocsig::{function_signatures, static_priors, static_priors_from_cfg, FnSignature};
@@ -39,5 +36,4 @@ pub use artifact::AnalysisArtifact;
 pub use audit::{audit, audit_with, AuditError, AuditReport};
 pub use cfg::{BasicBlock, Cfg, Function, MemSite, VIRTUAL_ROOT};
 pub use compare::{harvest, CmpOperand};
-pub use distance::{block_distances, function_distances, FlowGraph, FlowNode};
 pub use races::{lock_functions, race_candidates, watchpoint_priorities, RaceCandidate};

@@ -3,7 +3,6 @@
 
 use embsan_analysis::audit::{audit, audit_with};
 use embsan_analysis::cfg::{Cfg, VIRTUAL_ROOT};
-use embsan_analysis::distance::{block_distances, FlowGraph, MILLI};
 use embsan_analysis::races::{race_candidates, watchpoint_priorities};
 use embsan_analysis::{harvest, static_priors, AnalysisArtifact};
 use embsan_asm::image::FirmwareImage;
@@ -221,51 +220,16 @@ fn harvester_reassembles_wide_gate_keys() {
     assert!(staged_ops.iter().all(|op| op.value != key));
 }
 
-/// Static distances on real firmware: blocks inside the bug handler sit at
-/// the target, its callers strictly farther, in whole milli-edge units.
-#[test]
-fn distances_descend_toward_a_bug_handler() {
-    let spec = BugSpec::new("fuzz/wide", BugKind::OobWrite);
-    let opts = BuildOptions::new(Arch::Armv);
-    let image = os::emblinux::build(&opts, &[spec]).unwrap();
-    let cfg = Cfg::build(&image);
-    let graph = FlowGraph::from_cfg(&cfg);
-    let handler = image.symbol("sys_bug_0").unwrap();
-    let dist = block_distances(&graph, &[handler]);
-    assert_eq!(dist.get(&handler), Some(&0));
-    // The dispatcher reaches the handler; boot reaches the dispatcher.
-    let dispatch = image.symbol("executor_loop").unwrap();
-    let dispatch_entry = dist.get(&dispatch);
-    assert!(dispatch_entry.is_some(), "executor_loop cannot reach the handler");
-    assert!(*dispatch_entry.unwrap() > 0);
-    // Every finite distance is a whole milli multiple of nothing smaller
-    // than the quantum... i.e. nonzero distances are at least one call-
-    // weighted step or an edge.
-    for (&block, &d) in &dist {
-        if d > 0 {
-            assert!(d >= MILLI / 10, "block {block:#x} has degenerate distance {d}");
-        }
-    }
-    // An address outside the text section resolves to no target.
-    assert!(block_distances(&graph, &[0xFFFF_0000]).is_empty());
-}
-
 /// The artifact round-trips through JSON bit-exactly and validates its
 /// image pairing.
 #[test]
 fn artifact_round_trips_on_real_firmware() {
-    let race_bug = LATENT_BUGS
-        .iter()
-        .find(|b| b.kind == BugKind::Race)
-        .map(|b| BugSpec::new(b.location, b.kind))
-        .unwrap();
-    let mut opts = BuildOptions::new(Arch::Armv);
-    opts.cpus = 2;
-    let image = os::emblinux::build(&opts, &[race_bug]).unwrap();
+    let spec = BugSpec::new("fuzz/wide", BugKind::OobWrite);
+    let opts = BuildOptions::new(Arch::Armv).wide_gates(true);
+    let image = os::emblinux::build(&opts, &[spec]).unwrap();
     let artifact = AnalysisArtifact::from_image(&image);
-    assert!(!artifact.graph.nodes.is_empty());
-    // The race candidate's unlocked access sites become default targets.
-    assert!(!artifact.default_targets.is_empty(), "race bug should yield targets");
+    let key = embsan_guestos::bugs::wide_trigger_key("fuzz/wide");
+    assert!(artifact.operands().contains(&key), "the wide key should be harvested");
     let reparsed = AnalysisArtifact::parse(&artifact.to_json()).unwrap();
     assert_eq!(reparsed, artifact);
     assert!(artifact.matches_image(&image));

@@ -1,6 +1,6 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
-//! Four studies, each isolating one mechanism:
+//! Six studies, each isolating one mechanism:
 //!
 //! 1. **Quarantine capacity** ([`quarantine_ablation`]): EMBSAN's
 //!    quarantine is observational (it cannot delay reuse like in-kernel
@@ -17,7 +17,13 @@
 //!    (source probing) far out-of-bounds writes land in pre-poisoned
 //!    heap; binary-only probing's per-allocation tail redzones catch only
 //!    near overflows.
+//! 5. **Coverage source** ([`coverage_source_ablation`]): emulator edge
+//!    coverage vs kcov-style guest function beacons on staged gates.
+//! 6. **Directed fuzzing** ([`directed_ablation`]): time to a bug behind
+//!    one wide comparison, with and without the analysis crate's harvested
+//!    operands in the dictionary, over a fixed seed set.
 
+use embsan_analysis::AnalysisArtifact;
 use embsan_core::probe::{probe, ProbeMode};
 use embsan_core::report::BugClass;
 use embsan_core::runtime::kasan::{KasanConfig, KasanEngine};
@@ -278,6 +284,92 @@ pub fn coverage_source_ablation(source: CoverageSource, iterations: u64) -> Cove
     }
 }
 
+/// Outcome of one directed-fuzzing arm on one OS flavour.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DirectedRow {
+    /// OS flavour of the wide-gated image.
+    pub os: &'static str,
+    /// Whether the dictionary carried the harvested wide operands.
+    pub harvest: bool,
+    /// Per seed, in order: the iteration whose execution produced the
+    /// first finding, or `None` when the budget ran out first.
+    pub first_finding: Vec<Option<u64>>,
+}
+
+impl DirectedRow {
+    /// Runs whose first finding came within `iterations` (the sequential
+    /// engine is deterministic per iteration, so this is the k of a
+    /// shorter campaign at the same seed).
+    pub fn found_within(&self, iterations: u64) -> usize {
+        self.first_finding.iter().flatten().filter(|&&at| at <= iterations).count()
+    }
+
+    /// Median iteration of the first finding over the runs that found it.
+    pub fn median_first_finding(&self) -> Option<f64> {
+        let mut found: Vec<u64> = self.first_finding.iter().flatten().copied().collect();
+        found.sort_unstable();
+        let n = found.len();
+        match n {
+            0 => None,
+            _ if n % 2 == 1 => Some(found[n / 2] as f64),
+            _ => Some((found[n / 2 - 1] + found[n / 2]) as f64 / 2.0),
+        }
+    }
+}
+
+/// Directed-fuzzing ablation: `os`'s image with the `fuzz/wide:oob-write`
+/// bug behind one 32-bit comparison (`embsan build OS --san c --wide-gates`),
+/// fuzzed sequentially (Tardis, one bug syscall) for `iterations` at each
+/// seed, with the analysis harvest in the dictionary (`harvest`) or
+/// without it. Each run boots a fresh session, so report dedup does not
+/// carry over between seeds.
+///
+/// # Panics
+///
+/// Panics on an unknown OS flavour or a harness failure.
+pub fn directed_ablation(
+    os: &'static str,
+    harvest: bool,
+    seeds: &[u64],
+    iterations: u64,
+) -> DirectedRow {
+    let bug = BugSpec::new("fuzz/wide", BugKind::OobWrite);
+    let opts = BuildOptions::new(Arch::Armv).san(SanMode::SanCall).wide_gates(true);
+    let bugs = std::slice::from_ref(&bug);
+    let image = match os {
+        "emblinux" => os::emblinux::build(&opts, bugs),
+        "freertos" => os::freertos::build(&opts, bugs),
+        "liteos" => os::liteos::build(&opts, bugs),
+        "vxworks" => os::vxworks::build_unstripped(&opts, bugs),
+        other => panic!("unknown OS flavour {other}"),
+    }
+    .expect("build");
+    let artifacts = probe(&image, ProbeMode::CompileTime, None).expect("probe");
+    let ready = CampaignConfig { ready_budget: 400_000_000, ..CampaignConfig::default() };
+    let mut dict = Dictionary::extract(&image);
+    if harvest {
+        dict = dict.with_wide(&AnalysisArtifact::from_image(&image).operands());
+    }
+    let mut descs = embsan_fuzz::descs::base_descriptions();
+    descs.push(embsan_fuzz::SyscallDesc {
+        nr: sys::BUG_BASE,
+        args: vec![embsan_fuzz::ArgKind::Key],
+    });
+    let first_finding = seeds
+        .iter()
+        .map(|&seed| {
+            let mut session = boot_session(&image, &artifacts, 1, &ready).expect("ready");
+            let config = FuzzerConfig::new(Strategy::Tardis, seed);
+            let mut fuzzer = Fuzzer::new(&mut session, descs.clone(), dict.clone(), config);
+            (1..=iterations).find(|_| {
+                fuzzer.run(1).expect("fuzzing runs");
+                !fuzzer.findings().is_empty()
+            })
+        })
+        .collect();
+    DirectedRow { os, harvest, first_finding }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,5 +420,15 @@ mod tests {
         let no_dict = fuzzer_ablation(false, true, 2500);
         assert!(full.bugs_found >= 1, "{full:?}");
         assert!(full.bugs_found > no_dict.bugs_found, "full {full:?} vs no-dict {no_dict:?}");
+    }
+
+    /// The harvested operand opens the wide gate; the extracted dictionary
+    /// alone sees only its `lui`/`ori` halves and stays out.
+    #[test]
+    fn directed_harvest_direction() {
+        let harvest = directed_ablation("emblinux", true, &[8], 400);
+        assert_eq!(harvest.found_within(400), 1, "{harvest:?}");
+        let undirected = directed_ablation("emblinux", false, &[8], 400);
+        assert_eq!(undirected.first_finding, [None]);
     }
 }

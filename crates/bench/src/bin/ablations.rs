@@ -4,8 +4,8 @@
 //! Run with `cargo run --release -p embsan-bench --bin ablations`.
 
 use embsan_bench::ablation::{
-    coverage_source_ablation, fuzzer_ablation, kcsan_ablation, prepoison_ablation,
-    quarantine_ablation,
+    coverage_source_ablation, directed_ablation, fuzzer_ablation, kcsan_ablation,
+    prepoison_ablation, quarantine_ablation,
 };
 use embsan_fuzz::CoverageSource;
 
@@ -64,5 +64,28 @@ fn main() {
             row.coverage,
             row.corpus
         );
+    }
+
+    println!("\nAblation 6: directed fuzzing (wide-gated fuzz/wide:oob-write, seeds 1-10)");
+    println!(
+        "{:>10}{:>12}{:>14}{:>14}{:>16}",
+        "OS", "dictionary", "k/N @ 3000", "k/N @ 8000", "median iters"
+    );
+    let seeds: Vec<u64> = (1..=10).collect();
+    for os in ["emblinux", "freertos", "liteos", "vxworks"] {
+        for harvest in [false, true] {
+            let row = directed_ablation(os, harvest, &seeds, 8000);
+            let median = row.median_first_finding().map_or("-".to_string(), |m| format!("{m:.1}"));
+            println!(
+                "{:>10}{:>12}{:>11}/{}{:>11}/{}{:>16}",
+                row.os,
+                if row.harvest { "+harvest" } else { "extracted" },
+                row.found_within(3000),
+                seeds.len(),
+                row.found_within(8000),
+                seeds.len(),
+                median
+            );
+        }
     }
 }

@@ -38,7 +38,6 @@ const VALUED: &[&str] = &[
     "out",
     "format",
     "analysis",
-    "target",
     "state-dir",
     "socket",
     "slice",

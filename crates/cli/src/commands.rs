@@ -40,12 +40,10 @@ USAGE:
   embsan inspect <image>         show image header, symbols, globals
   embsan analyze <image>         static analysis: CFG stats, probe-coverage
                                  audit, allocator candidates, race candidates,
-                                 comparison-operand harvest, static distances
-      --target A[,B...]          direction targets (addresses or symbol
-                                 names; repeatable; default: race-candidate
-                                 access sites)
-      --out FILE                 write the embsan-analysis-v1 artifact
-                                 (feeds `embsan fuzz --analysis`)
+                                 comparison-operand harvest
+      --out FILE                 write the embsan-analysis-v2 artifact (the
+                                 harvested operands; feeds
+                                 `embsan fuzz --analysis`)
       --json FILE|-              same artifact schema; `-` prints pure JSON
                                  to stdout (no plain report)
   embsan disasm <image>          disassemble the text section
@@ -57,16 +55,13 @@ USAGE:
                                  boot under EMBSAN and run executor calls
   embsan fuzz <image> [--iters N] [--seed S] [--syscalls N] [--cpus N]
                                  coverage-guided fuzzing with EMBSAN attached
-      --analysis FILE            directed campaign steered by an
-                                 embsan-analysis-v1 artifact: corpus entries
-                                 are scored by static distance to the target
-                                 set and harvested comparison operands join
-                                 the dictionary stages. Deterministic for a
-                                 fixed seed + artifact; ignored (with a
-                                 note) on supervised/journaled runs
-      --target A[,B...]          override the artifact's default targets
-                                 (addresses or symbol names; needs
-                                 --analysis)
+      --analysis FILE            directed campaign: the harvested comparison
+                                 operands of an embsan-analysis-v2 artifact
+                                 join the dictionary, spliced whole by
+                                 mutation and the deterministic stage.
+                                 Deterministic for a fixed seed + artifact;
+                                 ignored (with a note) on supervised/
+                                 journaled runs
       --workers N                parallel campaign engine with N workers;
                                  findings and corpus are identical to the
                                  1-worker run (deterministic merges). Ignored
@@ -289,50 +284,17 @@ fn cmd_inspect(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--target` lists: comma-separated addresses (`0x`-hex or
-/// decimal) or symbol names resolved against the image.
-fn parse_targets(parsed: &Parsed, image: &FirmwareImage) -> Result<Vec<u32>, String> {
-    let mut targets = Vec::new();
-    for list in parsed.option_all("target") {
-        for token in list.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let addr = if let Some(hex) = token.strip_prefix("0x") {
-                u32::from_str_radix(hex, 16).map_err(|_| format!("bad target address `{token}`"))?
-            } else if token.bytes().all(|b| b.is_ascii_digit()) {
-                token.parse().map_err(|_| format!("bad target address `{token}`"))?
-            } else {
-                image.symbol(token).ok_or_else(|| format!("unknown target symbol `{token}`"))?
-            };
-            targets.push(addr);
-        }
-    }
-    Ok(targets)
-}
-
 fn cmd_analyze(parsed: &Parsed) -> Result<(), String> {
-    use embsan_analysis::{block_distances, AnalysisArtifact};
     let image = load_image(parsed)?;
     let cfg = Cfg::build(&image);
-    let mut artifact = AnalysisArtifact::from_cfg(&cfg, &image);
-    let targets = parse_targets(parsed, &image)?;
-    if !targets.is_empty() {
-        artifact.default_targets = targets;
-    }
+    let artifact = embsan_analysis::AnalysisArtifact::from_cfg(&cfg);
     let json_stdout = parsed.option("json") == Some("-");
     for path in
         [parsed.option("out"), parsed.option("json").filter(|&p| p != "-")].into_iter().flatten()
     {
         fs::write(path, artifact.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         if !json_stdout {
-            println!(
-                "wrote {path}: embsan-analysis-v1, {} blocks, {} operands, {} targets",
-                artifact.graph.nodes.len(),
-                artifact.cmp_operands.len(),
-                artifact.default_targets.len()
-            );
+            println!("wrote {path}: embsan-analysis-v2, {} operands", artifact.cmp_operands.len());
         }
     }
     if json_stdout {
@@ -405,8 +367,7 @@ fn cmd_analyze(parsed: &Parsed) -> Result<(), String> {
         );
     }
 
-    // Both sections print in deterministic sorted order (operands sorted by
-    // value, distances by block address) so the output golden-tests cleanly.
+    // Operands print sorted by value so the output golden-tests cleanly.
     println!("\n== comparison-operand harvest (multi-byte branch constants) ==");
     if artifact.cmp_operands.is_empty() {
         println!("  (none)");
@@ -416,19 +377,6 @@ fn cmd_analyze(parsed: &Parsed) -> Result<(), String> {
     }
     if artifact.cmp_operands.len() > 12 {
         println!("  ... {} more", artifact.cmp_operands.len() - 12);
-    }
-
-    println!("\n== static distance to targets (milli-edges) ==");
-    if artifact.default_targets.is_empty() {
-        println!("  (no targets: no race candidates found and no --target given)");
-    } else {
-        let list: Vec<String> =
-            artifact.default_targets.iter().map(|t| format!("{t:#010x}")).collect();
-        println!("  targets: {}", list.join(", "));
-        let dist = block_distances(&artifact.graph, &artifact.default_targets);
-        println!("  {} of {} blocks reach a target", dist.len(), artifact.graph.nodes.len());
-        let max = dist.values().max().copied().unwrap_or(0);
-        println!("  farthest reaching block: {max} milli-edges");
     }
     Ok(())
 }
@@ -656,18 +604,15 @@ fn fuzz_descriptions(parsed: &Parsed) -> Result<Vec<embsan_fuzz::SyscallDesc>, S
     Ok(syscall_descs)
 }
 
-/// Loads `--analysis` (when given) into directed-campaign steering,
-/// cross-checked against the image and with `--target` overrides applied.
-fn fuzz_direction(
+/// The campaign's dictionary: the image's extracted constants, plus the
+/// harvested wide operands of `--analysis` (when given, cross-checked
+/// against the image) for a directed campaign.
+fn fuzz_dictionary(
     parsed: &Parsed,
     image: &FirmwareImage,
-) -> Result<Option<embsan_fuzz::Direction>, String> {
-    let Some(path) = parsed.option("analysis") else {
-        if parsed.option("target").is_some() {
-            return Err("--target needs --analysis <artifact>".to_string());
-        }
-        return Ok(None);
-    };
+) -> Result<embsan_fuzz::Dictionary, String> {
+    let dict = embsan_fuzz::Dictionary::extract(image);
+    let Some(path) = parsed.option("analysis") else { return Ok(dict) };
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let artifact =
         embsan_analysis::AnalysisArtifact::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -676,15 +621,9 @@ fn fuzz_direction(
             "{path}: artifact was built from a different image (arch/entry/text mismatch)"
         ));
     }
-    let targets = parse_targets(parsed, image)?;
-    let direction = embsan_fuzz::Direction::from_artifact(&artifact, &targets)
-        .map_err(|e| format!("{path}: {e}"))?;
-    println!(
-        "directed: {} target(s), {} harvested operand(s) from {path}",
-        direction.targets().len(),
-        direction.operands().len()
-    );
-    Ok(Some(direction))
+    let dict = dict.with_wide(&artifact.operands());
+    println!("directed: {} harvested operand(s) from {path}", dict.wide().len());
+    Ok(dict)
 }
 
 /// Reads and parses `--fault-plan FILE` (when given).
@@ -849,19 +788,17 @@ fn warn_degraded(
 }
 
 fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize, epoch_len: u64) -> Result<(), String> {
-    use embsan_fuzz::{run_parallel, Dictionary, ParallelConfig, Strategy};
+    use embsan_fuzz::{run_parallel, ParallelConfig, Strategy};
     let image = load_image(parsed)?;
     let (artifacts, cpus) = probe_image(parsed, &image)?;
-    let direction = fuzz_direction(parsed, &image)?;
+    let dict = fuzz_dictionary(parsed, &image)?;
     let config = ParallelConfig {
         workers,
         epoch_len,
         campaign: fuzz_campaign(parsed)?,
         trace: parsed.option("trace-out").is_some(),
-        direction: direction.as_ref(),
     };
     let syscall_descs = fuzz_descriptions(parsed)?;
-    let dict = Dictionary::extract(&image);
     println!(
         "parallel fuzzing: {} iterations, seed {}, {} workers, epoch {}, dictionary {} entries",
         config.campaign.iterations,
@@ -878,9 +815,6 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize, epoch_len: u64) -> Result<
         "execs {}  corpus {}  coverage {}  findings {}",
         stats.execs, stats.corpus, stats.coverage, stats.findings
     );
-    if let Some((min, mean)) = stats.frontier {
-        println!("frontier: min {min} mean {mean} milli-edges to target");
-    }
     println!(
         "wall {:.2}s ({:.0} execs/sec)  epochs {}  cache: {} translations, {} hits, \
          {} generation reuses",
@@ -902,29 +836,22 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize, epoch_len: u64) -> Result<
 }
 
 fn cmd_fuzz_plain(parsed: &Parsed, degraded: Vec<embsan_obs::MetricEntry>) -> Result<(), String> {
-    use embsan_fuzz::{Dictionary, Fuzzer, FuzzerConfig, Strategy};
+    use embsan_fuzz::{Fuzzer, FuzzerConfig, Strategy};
     let image = load_image(parsed)?;
     let campaign = fuzz_campaign(parsed)?;
     let mut session = ready_session(parsed, &image, &campaign)?;
     let syscall_descs = fuzz_descriptions(parsed)?;
-    let dict = Dictionary::extract(&image);
+    let dict = fuzz_dictionary(parsed, &image)?;
     let (iters, seed) = (campaign.iterations, campaign.seed);
     println!("fuzzing: {iters} iterations, seed {seed}, dictionary {} entries", dict.len());
-    let direction = fuzz_direction(parsed, &image)?;
     let config = FuzzerConfig::new(Strategy::Tardis, seed);
     let mut fuzzer = Fuzzer::new(&mut session, syscall_descs, dict, config);
-    if let Some(direction) = direction {
-        fuzzer.set_direction(direction);
-    }
     fuzzer.run(iters).map_err(|e| e.to_string())?;
     let stats = fuzzer.stats();
     println!(
         "execs {}  corpus {}  coverage {}  findings {}",
         stats.execs, stats.corpus, stats.coverage, stats.findings
     );
-    if let Some((min, mean)) = fuzzer.frontier_distance() {
-        println!("frontier: min {min} mean {mean} milli-edges to target");
-    }
     print_findings(&fuzzer.into_findings());
     write_fuzz_outputs(parsed, None, session.metrics_snapshot(), degraded, &[])
 }
@@ -944,9 +871,9 @@ fn cmd_fuzz_supervised(
     };
     use std::path::Path;
     if parsed.option("analysis").is_some() {
-        // The journal format carries no scores; directed scheduling would
-        // not survive a resume bit-identically, so the supervised path
-        // stays undirected.
+        // The journal does not record the artifact, so a resumed run could
+        // not rebuild the directed dictionary; the supervised path stays
+        // undirected.
         degraded.push(warn_degraded(
             "supervised",
             "analysis_ignored",

@@ -3,18 +3,10 @@
 use embsan_guestos::executor::ExecProgram;
 
 use crate::cover::{buckets_set, CoverageMap, MAP_SIZE};
-use crate::directed::Direction;
-
-/// Score of an entry whose distance to the direction targets is unknown
-/// (no artifact loaded, or none of its covered blocks reach a target).
-pub const UNSCORED: u32 = u32::MAX;
 
 /// A corpus of programs retained for producing new coverage.
 pub struct Corpus {
     entries: Vec<ExecProgram>,
-    /// Per-entry static-distance score (milli-edges; [`UNSCORED`] when
-    /// unknown), parallel to `entries`. Only directed campaigns read it.
-    scores: Vec<u32>,
     global: Box<[u8; MAP_SIZE]>,
 }
 
@@ -36,7 +28,7 @@ impl Default for Corpus {
 impl Corpus {
     /// Creates an empty corpus.
     pub fn new() -> Corpus {
-        Corpus { entries: Vec::new(), scores: Vec::new(), global: Box::new([0; MAP_SIZE]) }
+        Corpus { entries: Vec::new(), global: Box::new([0; MAP_SIZE]) }
     }
 
     /// Number of retained programs.
@@ -57,20 +49,8 @@ impl Corpus {
     /// Adds `program` if its execution's coverage reached anything new.
     /// Returns `true` when retained.
     pub fn add_if_novel(&mut self, program: &ExecProgram, coverage: &CoverageMap) -> bool {
-        self.add_if_novel_scored(program, coverage, UNSCORED)
-    }
-
-    /// [`Corpus::add_if_novel`] with a static-distance score attached to
-    /// the entry when it is retained (directed campaigns).
-    pub fn add_if_novel_scored(
-        &mut self,
-        program: &ExecProgram,
-        coverage: &CoverageMap,
-        score: u32,
-    ) -> bool {
         if coverage.merge_novel(&mut self.global) > 0 {
             self.entries.push(program.clone());
-            self.scores.push(score);
             true
         } else {
             false
@@ -79,19 +59,13 @@ impl Corpus {
 
     /// Sparse admission (the epoch engine's): merges a
     /// [`CoverageMap::classified_sparse`] export into the global map and
-    /// retains `program` when it reached anything new, scored by
-    /// `direction` from the same export. Returns `true` when retained.
-    pub fn add_if_novel_sparse(
-        &mut self,
-        program: ExecProgram,
-        sparse: &[(u32, u8)],
-        direction: Option<&Direction>,
-    ) -> bool {
+    /// retains `program` when it reached anything new. Returns `true` when
+    /// retained.
+    pub fn add_if_novel_sparse(&mut self, program: ExecProgram, sparse: &[(u32, u8)]) -> bool {
         if CoverageMap::merge_classified(&mut self.global, sparse) == 0 {
             return false;
         }
         self.entries.push(program);
-        self.scores.push(direction.map_or(UNSCORED, |d| d.score_sparse(sparse)));
         true
     }
 
@@ -109,12 +83,6 @@ impl Corpus {
         &self.entries
     }
 
-    /// Per-entry static-distance scores, parallel to [`Corpus::entries`]
-    /// ([`UNSCORED`] when unknown).
-    pub fn scores(&self) -> &[u32] {
-        &self.scores
-    }
-
     /// The global classified-coverage map (checkpoint export).
     pub fn global_map(&self) -> &[u8; MAP_SIZE] {
         &self.global
@@ -123,24 +91,14 @@ impl Corpus {
     /// Rebuilds a corpus from checkpointed parts (the inverse of
     /// [`Corpus::entries`] + [`Corpus::global_map`]).
     pub fn from_parts(entries: Vec<ExecProgram>, global: Box<[u8; MAP_SIZE]>) -> Corpus {
-        let scores = vec![UNSCORED; entries.len()];
-        Corpus { entries, scores, global }
+        Corpus { entries, global }
     }
 
     /// Drops every entry for which `keep` returns `false` (input
     /// quarantine). The global coverage map is deliberately kept: the
     /// dropped input's coverage was real, only the input is untrusted.
-    pub fn retain(&mut self, mut keep: impl FnMut(&ExecProgram) -> bool) {
-        // Manual sweep so the parallel score vector stays in sync.
-        let mut index = 0;
-        while index < self.entries.len() {
-            if keep(&self.entries[index]) {
-                index += 1;
-            } else {
-                self.entries.remove(index);
-                self.scores.remove(index);
-            }
-        }
+    pub fn retain(&mut self, keep: impl FnMut(&ExecProgram) -> bool) {
+        self.entries.retain(keep);
     }
 }
 
@@ -165,7 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn scores_track_entries_through_retain() {
+    fn retain_drops_entries_but_keeps_coverage() {
         let mut corpus = Corpus::new();
         let mut cov = CoverageMap::new();
         for i in 0..3u8 {
@@ -173,20 +131,13 @@ mod tests {
             cov.record(0, 0x1000 * (u32::from(i) + 1));
             let mut program = ExecProgram::new();
             program.push(i, &[]);
-            assert!(corpus.add_if_novel_scored(&program, &cov, u32::from(i) * 100));
+            assert!(corpus.add_if_novel(&program, &cov));
         }
-        assert_eq!(corpus.scores(), &[0, 100, 200]);
-        // Drop the middle entry; its score must go with it.
+        let coverage = corpus.coverage_buckets();
         corpus.retain(|p| p.calls[0].nr != 1);
-        assert_eq!(corpus.len(), 2);
-        assert_eq!(corpus.scores(), &[0, 200]);
-        // Unscored admission and from_parts fill with UNSCORED.
-        let rebuilt = Corpus::from_parts(corpus.entries().to_vec(), {
-            let mut global = Box::new([0u8; MAP_SIZE]);
-            global.copy_from_slice(corpus.global_map());
-            global
-        });
-        assert_eq!(rebuilt.scores(), &[UNSCORED, UNSCORED]);
+        let kept: Vec<u8> = corpus.entries().iter().map(|p| p.calls[0].nr).collect();
+        assert_eq!(kept, [0, 2]);
+        assert_eq!(corpus.coverage_buckets(), coverage);
     }
 
     #[test]

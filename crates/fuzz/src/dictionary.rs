@@ -6,6 +6,12 @@
 //! comparisons yields a dictionary that mutation splices into arguments —
 //! which is how magic-gated paths (like real kernels' command codes) become
 //! reachable without symbolic execution.
+//!
+//! A wide (multi-piece) constant appears in the text only as disjoint
+//! `lui`/`ori` halves. Those come from the analysis crate's operand harvest
+//! instead ([`Dictionary::with_wide`], the `embsan fuzz --analysis` path):
+//! a *directed* campaign is one whose dictionary carries harvested wide
+//! entries.
 
 use embsan_asm::image::FirmwareImage;
 use embsan_emu::isa::{Insn, Reg, Word};
@@ -15,6 +21,10 @@ use embsan_emu::profile::ArchProfile;
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<u32>,
+    /// Harvested wide comparison operands, sorted and deduplicated. They
+    /// follow `values` in the constant pool; empty for an undirected
+    /// campaign, which leaves every draw as it was without them.
+    wide: Vec<u32>,
 }
 
 impl Dictionary {
@@ -42,13 +52,23 @@ impl Dictionary {
                 }
             }
         }
-        Dictionary { values }
+        Dictionary { values, wide: Vec::new() }
     }
 
     /// Builds a dictionary from explicit values (tests, replayed
     /// checkpoints).
     pub fn from_values(values: &[u32]) -> Dictionary {
-        Dictionary { values: values.to_vec() }
+        Dictionary { values: values.to_vec(), wide: Vec::new() }
+    }
+
+    /// Adds harvested wide comparison operands (sorted and deduplicated
+    /// here). They join the constant pool after the extracted values, and
+    /// the deterministic stage substitutes each one whole.
+    pub fn with_wide(mut self, operands: &[u32]) -> Dictionary {
+        self.wide.extend_from_slice(operands);
+        self.wide.sort_unstable();
+        self.wide.dedup();
+        self
     }
 
     /// The extracted constants.
@@ -56,23 +76,31 @@ impl Dictionary {
         &self.values
     }
 
-    /// Whether the dictionary is empty.
+    /// The harvested wide operands, sorted ascending.
+    pub fn wide(&self) -> &[u32] {
+        &self.wide
+    }
+
+    /// Whether the constant pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
-    /// Number of entries.
+    /// Number of entries in the constant pool (extracted plus wide).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values.len() + self.wide.len()
     }
 
-    /// Picks an entry by an arbitrary index (callers supply randomness).
+    /// Picks a pool entry — extracted values first, then wide operands —
+    /// by an arbitrary index (callers supply randomness). One index covers
+    /// the whole pool, so the caller's RNG stream does not depend on
+    /// whether wide operands are loaded.
     pub fn pick(&self, index: usize) -> Option<u32> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values[index % self.values.len()])
+        if self.is_empty() {
+            return None;
         }
+        let at = index % self.len();
+        Some(self.values.get(at).copied().unwrap_or_else(|| self.wide[at - self.values.len()]))
     }
 
     /// The byte-sized entries (values < 256), used by byte-splice mutation
@@ -111,9 +139,22 @@ mod tests {
 
     #[test]
     fn pick_is_total_over_nonempty_dictionaries() {
-        let dict = Dictionary { values: vec![1, 2, 3] };
+        let dict = Dictionary::from_values(&[1, 2, 3]);
         assert_eq!(dict.pick(0), Some(1));
         assert_eq!(dict.pick(4), Some(2));
         assert_eq!(Dictionary::default().pick(7), None);
+    }
+
+    #[test]
+    fn wide_operands_follow_the_extracted_values() {
+        let dict =
+            Dictionary::from_values(&[7, 9]).with_wide(&[0x5000_0000, 0x1234_5678, 0x5000_0000]);
+        assert_eq!(dict.wide(), &[0x1234_5678, 0x5000_0000]);
+        assert_eq!(dict.len(), 4);
+        let pool: Vec<u32> = (0..4).filter_map(|i| dict.pick(i)).collect();
+        assert_eq!(pool, [7, 9, 0x1234_5678, 0x5000_0000]);
+        assert_eq!(Dictionary::default().with_wide(&[0x1234_5678]).pick(5), Some(0x1234_5678));
+        // Wide operands never reach the byte splices.
+        assert_eq!(dict.bytes(), [7, 9]);
     }
 }

@@ -5,11 +5,10 @@ use embsan_core::session::{ExecOutcome, Session, SessionError};
 use embsan_guestos::executor::{sys, ExecProgram};
 use embsan_obs::{MetricClass, MetricsRegistry};
 
-use crate::corpus::{Corpus, UNSCORED};
+use crate::corpus::Corpus;
 use crate::cover::{buckets_set, CoverageMap, MAP_SIZE};
 use crate::descs::SyscallDesc;
 use crate::dictionary::Dictionary;
-use crate::directed::Direction;
 use crate::mutate::Mutator;
 use crate::rng::SplitMix64;
 
@@ -192,6 +191,9 @@ pub struct Fuzzer<'s> {
     findings: Vec<Finding>,
     execs: u64,
     dict_bytes: Vec<u8>,
+    /// Harvested wide operands the deterministic stage substitutes whole
+    /// (empty unless the dictionary carries an analysis harvest).
+    wide: Vec<u32>,
     /// Syscall numbers carrying `Key` arguments (deterministic-stage focus
     /// under the Syz strategy).
     key_nrs: Vec<u8>,
@@ -203,10 +205,6 @@ pub struct Fuzzer<'s> {
     /// differ only in coverage counts would otherwise re-expand identical
     /// candidate sets and starve the queue.
     det_seen: std::collections::HashSet<(u8, usize, u32)>,
-    /// Directed-campaign steering, when an analysis artifact is loaded.
-    /// `None` leaves scheduling and mutation bit-identical to the
-    /// undirected fuzzer.
-    direction: Option<Direction>,
 }
 
 impl std::fmt::Debug for Fuzzer<'_> {
@@ -233,6 +231,7 @@ impl<'s> Fuzzer<'s> {
             }
         }
         let dict_bytes = dict.bytes();
+        let wide = dict.wide().to_vec();
         let key_nrs: Vec<u8> = descs
             .iter()
             .filter(|d| d.args.contains(&crate::descs::ArgKind::Key))
@@ -248,26 +247,11 @@ impl<'s> Fuzzer<'s> {
             findings: Vec::new(),
             execs: 0,
             dict_bytes,
+            wide,
             key_nrs,
             det_pending: Vec::new(),
             det_seen: std::collections::HashSet::new(),
-            direction: None,
         }
-    }
-
-    /// Loads directed-campaign steering: corpus entries are scored by
-    /// static distance, scheduling anneals toward the frontier, and the
-    /// harvested comparison operands join the mutator's dictionary pool
-    /// and the deterministic stage.
-    pub fn set_direction(&mut self, direction: Direction) {
-        self.mutator.set_operands(direction.operands());
-        self.direction = Some(direction);
-    }
-
-    /// `(min, mean)` static frontier distance over scored corpus entries
-    /// in milli-edges, `None` while nothing scored (or undirected).
-    pub fn frontier_distance(&self) -> Option<(u32, u32)> {
-        crate::directed::frontier(self.corpus.scores())
     }
 
     /// Current statistics.
@@ -314,13 +298,6 @@ impl<'s> Fuzzer<'s> {
             candidate
         } else if self.corpus.is_empty() || self.rng.gen_bool(0.2) {
             self.mutator.generate(&mut self.rng)
-        } else if let Some(direction) = &self.direction {
-            // Directed: annealed distance-biased pick over entry scores.
-            let index = direction
-                .directed_pick(self.corpus.scores(), self.execs, &mut self.rng)
-                .expect("non-empty corpus");
-            let seed = self.corpus.entries()[index].clone();
-            self.mutator.mutate(&seed, &mut self.rng)
         } else {
             let pick = self.rng.gen_usize();
             // Infallible: this branch is only reached when `corpus.is_empty()`
@@ -352,16 +329,14 @@ impl<'s> Fuzzer<'s> {
                         self.det_pending.push(candidate);
                     }
                 }
-                // Directed campaigns additionally substitute each harvested
-                // comparison operand whole — byte-wise splicing cannot build
-                // a multi-piece constant one stage at a time because a wide
-                // gate has no intermediate stages to reward.
-                if let Some(direction) = &self.direction {
-                    for &operand in direction.operands() {
-                        let mut candidate = seed.clone();
-                        candidate.calls[call_index].args[arg_index] = operand;
-                        self.det_pending.push(candidate);
-                    }
+                // Harvested wide operands are substituted whole — byte-wise
+                // splicing cannot build a multi-piece constant one stage at
+                // a time because a wide gate has no intermediate stages to
+                // reward.
+                for &operand in &self.wide {
+                    let mut candidate = seed.clone();
+                    candidate.calls[call_index].args[arg_index] = operand;
+                    self.det_pending.push(candidate);
                 }
             }
         }
@@ -425,13 +400,7 @@ impl<'s> Fuzzer<'s> {
         program: &ExecProgram,
         outcome: ExecOutcome,
     ) -> Result<CommitSummary, SessionError> {
-        // Directed campaigns score the entry by the minimum static distance
-        // over its covered edge buckets; undirected ones skip the export.
-        let score = match &self.direction {
-            Some(direction) => direction.score_sparse(&self.coverage.classified_sparse()),
-            None => UNSCORED,
-        };
-        let retained = self.corpus.add_if_novel_scored(program, &self.coverage, score);
+        let retained = self.corpus.add_if_novel(program, &self.coverage);
         if retained && self.config.deterministic_stage {
             self.expand_deterministic(program);
         }
@@ -577,16 +546,14 @@ mod tests {
         let bug = BugSpec::new("fuzz/wide", BugKind::OobWrite);
         let opts = BuildOptions::new(Arch::Armv).san(SanMode::SanCall).wide_gates(true);
         let (mut session, image) = ready_session_opts(opts, std::slice::from_ref(&bug));
-        let artifact = embsan_analysis::AnalysisArtifact::from_image(&image);
-        let handler = image.symbol("sys_bug_0").unwrap();
-        let direction = crate::directed::Direction::from_artifact(&artifact, &[handler]).unwrap();
+        let operands = embsan_analysis::AnalysisArtifact::from_image(&image).operands();
         let key = embsan_guestos::bugs::wide_trigger_key("fuzz/wide");
-        assert!(direction.operands().contains(&key), "wide key must be harvested");
+        assert!(operands.contains(&key), "wide key must be harvested");
 
         let dict = Dictionary::extract(&image);
         let config = FuzzerConfig::new(Strategy::Syz, 42);
-        let mut fuzzer = Fuzzer::new(&mut session, descs_with_bugs(1), dict.clone(), config);
-        fuzzer.set_direction(direction);
+        let wide = dict.clone().with_wide(&operands);
+        let mut fuzzer = Fuzzer::new(&mut session, descs_with_bugs(1), wide, config);
         let mut found = false;
         for _ in 0..60 {
             fuzzer.run(250).unwrap();
@@ -599,8 +566,6 @@ mod tests {
         let finding = &fuzzer.findings()[0];
         assert_eq!(finding.report.class, BugClass::HeapOob);
         assert_eq!(finding.bug_syscalls, vec![sys::BUG_BASE]);
-        // Scored entries expose a frontier once the corpus is directed.
-        assert!(fuzzer.frontier_distance().is_some());
 
         // Control: the immediate-only dictionary never reassembles the
         // 4-byte key (both halves require a lui+ori pair), so an undirected

@@ -17,19 +17,18 @@
 //! with program minimization, and a deterministic seeded [`campaign`]
 //! driver used by the Table 3/4 benches.
 //!
-//! Loading an `embsan-analysis-v1` artifact upgrades either strategy to a
-//! **directed** campaign ([`directed`]): corpus entries are scored by the
-//! static distance of their covered edges to a target set, scheduling is
-//! annealed toward the frontier, and harvested comparison operands join the
-//! dictionary stages. With no artifact loaded the directed layer is
-//! completely inert.
+//! Loading an `embsan-analysis-v2` artifact upgrades either strategy to a
+//! **directed** campaign: its harvested wide comparison operands join the
+//! [`Dictionary`] ([`Dictionary::with_wide`]), so mutation splices them
+//! and the deterministic stage substitutes each one whole. Scheduling is
+//! unchanged, and with no artifact loaded the dictionary is exactly the
+//! extracted one.
 
 pub mod campaign;
 pub mod corpus;
 pub mod cover;
 pub mod descs;
 pub mod dictionary;
-pub mod directed;
 pub mod fuzzer;
 pub mod journal;
 pub mod mutate;
@@ -44,7 +43,6 @@ pub use corpus::Corpus;
 pub use cover::CoverageMap;
 pub use descs::{descriptions_for, ArgKind, SyscallDesc};
 pub use dictionary::Dictionary;
-pub use directed::{frontier, Direction};
 pub use fuzzer::{
     CommitSummary, CoverageSource, Finding, Fuzzer, FuzzerConfig, FuzzerState, FuzzerStats,
     Strategy,

@@ -64,7 +64,6 @@ use crate::corpus::Corpus;
 use crate::cover::CoverageMap;
 use crate::descs::{descriptions_for, SyscallDesc};
 use crate::dictionary::Dictionary;
-use crate::directed::Direction;
 use crate::fuzzer::{triage, Finding, FuzzerStats, Strategy};
 use crate::mutate::Mutator;
 use crate::rng::SplitMix64;
@@ -79,7 +78,7 @@ const CHUNK: u64 = 8;
 
 /// Parallel engine configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct ParallelConfig<'a> {
+pub struct ParallelConfig {
     /// Worker count (1 runs the same algorithm on one thread).
     pub workers: usize,
     /// Iterations per epoch (merge/snapshot period). Smaller epochs adopt
@@ -95,22 +94,15 @@ pub struct ParallelConfig<'a> {
     /// worker). Off by default; tracing never changes findings, corpus or
     /// coverage.
     pub trace: bool,
-    /// Directed-campaign steering. With an analysis loaded, retained
-    /// entries are scored by static distance and picks anneal toward the
-    /// frontier; scores are part of the canonical merge, so the
-    /// determinism contract carries over unchanged. `None` (the default)
-    /// is the undirected engine.
-    pub direction: Option<&'a Direction>,
 }
 
-impl Default for ParallelConfig<'_> {
+impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
             workers: 1,
             epoch_len: 64,
             campaign: CampaignConfig::default(),
             trace: false,
-            direction: None,
         }
     }
 }
@@ -138,10 +130,6 @@ pub struct ParallelStats {
     /// Shadow checks that fell off the inline fast path onto the byte-wise
     /// slow walk, summed over all workers.
     pub slow_path_checks: u64,
-    /// `(min, mean)` static frontier distance in milli-edges over scored
-    /// corpus entries. `None` for undirected runs (every score is
-    /// [`crate::corpus::UNSCORED`]) and before anything scored is retained.
-    pub frontier: Option<(u32, u32)>,
     /// Logical size of the ready-point base image (RAM plus sanitizer
     /// planes).
     pub base_bytes: u64,
@@ -178,10 +166,6 @@ impl ParallelStats {
         self.fuzzer_stats().record_into(registry, "scheduler", Deterministic);
         registry.counter("scheduler", "epochs", Deterministic, self.epochs);
         registry.counter("scheduler", "fuzz_wall_ms", Telemetry, self.fuzz_wall.as_millis() as u64);
-        if let Some((min, mean)) = self.frontier {
-            registry.gauge("directed", "frontier_min_milli", Deterministic, i64::from(min));
-            registry.gauge("directed", "frontier_mean_milli", Deterministic, i64::from(mean));
-        }
         self.cache.record_into(registry, Telemetry);
         registry.counter("hooks", "slow_path_checks", Telemetry, self.slow_path_checks);
         // Memory accounting is telemetry: one worker's overlay peak depends
@@ -240,14 +224,6 @@ struct IterResult {
     events: Vec<Event>,
 }
 
-/// Immutable per-epoch corpus view: programs plus their static-distance
-/// scores (all [`crate::corpus::UNSCORED`] in undirected runs). Copied
-/// out of the merge's [`Corpus`] without its coverage map.
-struct Snapshot {
-    programs: Vec<ExecProgram>,
-    scores: Vec<u32>,
-}
-
 /// Merge-side state, owned by whichever worker leads each epoch barrier.
 struct MergeState {
     corpus: Corpus,
@@ -267,8 +243,9 @@ struct Shared {
     next_iter: AtomicU64,
     /// One past the last iteration of the current epoch.
     epoch_end: AtomicU64,
-    /// Immutable corpus snapshot workers draw from this epoch.
-    snapshot: Mutex<Arc<Snapshot>>,
+    /// Immutable corpus snapshot workers draw from this epoch: the merge's
+    /// [`Corpus`] programs, copied out without its coverage map.
+    snapshot: Mutex<Arc<Vec<ExecProgram>>>,
     /// Completed iterations awaiting the canonical merge.
     results: Mutex<Vec<IterResult>>,
     merge: Mutex<MergeState>,
@@ -311,23 +288,16 @@ fn iter_rng(seed: u64, iter: u64) -> SplitMix64 {
 /// Derives iteration `iter`'s program from the epoch's corpus snapshot.
 fn derive_program(
     mutator: &Mutator,
-    snapshot: &Snapshot,
-    config: &ParallelConfig<'_>,
+    snapshot: &[ExecProgram],
+    config: &ParallelConfig,
     iter: u64,
 ) -> ExecProgram {
     let mut rng = iter_rng(config.campaign.seed, iter);
-    if snapshot.programs.is_empty() || rng.gen_bool(0.2) {
+    if snapshot.is_empty() || rng.gen_bool(0.2) {
         mutator.generate(&mut rng)
-    } else if let Some(direction) = config.direction {
-        // Directed: distance-biased pick over the snapshot scores. The
-        // iteration index is the anneal clock — unlike a live exec counter
-        // it is a pure function of the schedule-independent iteration id.
-        let index =
-            direction.directed_pick(&snapshot.scores, iter, &mut rng).expect("non-empty snapshot");
-        mutator.mutate(&snapshot.programs[index], &mut rng)
     } else {
-        let pick = rng.gen_usize() % snapshot.programs.len();
-        mutator.mutate(&snapshot.programs[pick], &mut rng)
+        let pick = rng.gen_usize() % snapshot.len();
+        mutator.mutate(&snapshot[pick], &mut rng)
     }
 }
 
@@ -337,8 +307,8 @@ fn run_iteration(
     session: &mut Session,
     coverage: &mut CoverageMap,
     mutator: &Mutator,
-    snapshot: &Snapshot,
-    config: &ParallelConfig<'_>,
+    snapshot: &[ExecProgram],
+    config: &ParallelConfig,
     iter: u64,
 ) -> Result<IterResult, SessionError> {
     // Rebasing against the iteration-start clock makes the span a pure
@@ -362,16 +332,14 @@ fn run_iteration(
 /// The canonical merge: executed by the epoch leader while every other
 /// worker waits at the barrier. Results are reduced sorted by iteration
 /// index, so admission and dedup order is schedule-independent.
-fn merge_epoch(shared: &Shared, config: &ParallelConfig<'_>) {
+fn merge_epoch(shared: &Shared, config: &ParallelConfig) {
     let mut results = std::mem::take(&mut *shared.results.lock().unwrap());
     results.sort_unstable_by_key(|r| r.iter);
     let mut state = shared.merge.lock().unwrap();
     let state = &mut *state;
     for result in results {
         state.execs += 1;
-        // Scoring uses the iteration's own sparse export, so the score too
-        // is a pure function of the program — merge-order free.
-        state.corpus.add_if_novel_sparse(result.program, &result.cover, config.direction);
+        state.corpus.add_if_novel_sparse(result.program, &result.cover);
         for finding in result.findings {
             if state.seen.insert(finding.report.dedup_key()) {
                 state.findings.push(finding);
@@ -399,10 +367,7 @@ fn merge_epoch(shared: &Shared, config: &ParallelConfig<'_>) {
             events: vec![Event { clock: 0, seq: 0, kind: merge }],
         });
     }
-    *shared.snapshot.lock().unwrap() = Arc::new(Snapshot {
-        programs: state.corpus.entries().to_vec(),
-        scores: state.corpus.scores().to_vec(),
-    });
+    *shared.snapshot.lock().unwrap() = Arc::new(state.corpus.entries().to_vec());
     let failed = shared.error.lock().unwrap().is_some();
     if failed || done >= config.campaign.iterations {
         shared.stop.store(true, Ordering::SeqCst);
@@ -421,7 +386,7 @@ fn merge_epoch(shared: &Shared, config: &ParallelConfig<'_>) {
 fn worker_session<F>(
     worker: usize,
     factory: &F,
-    config: &ParallelConfig<'_>,
+    config: &ParallelConfig,
     shared: &Shared,
 ) -> Result<(Session, bool), CampaignError>
 where
@@ -447,7 +412,7 @@ fn worker_loop<F>(
     worker: usize,
     factory: &F,
     mutator: &Mutator,
-    config: &ParallelConfig<'_>,
+    config: &ParallelConfig,
     shared: &Shared,
 ) where
     F: Fn(usize) -> Result<Session, CampaignError> + Sync,
@@ -519,7 +484,8 @@ fn worker_loop<F>(
 }
 
 /// Runs a parallel fuzzing campaign over sessions produced by `factory`,
-/// directed when [`ParallelConfig::direction`] is set.
+/// directed when `dict` carries harvested wide operands
+/// ([`Dictionary::with_wide`]).
 ///
 /// `factory(worker_index)` must return a *ready* session (already past
 /// `run_to_ready`); it is called once per worker, on that worker's thread,
@@ -541,22 +507,19 @@ pub fn run_parallel<F>(
     descs: &[SyscallDesc],
     dict: &Dictionary,
     strategy: Strategy,
-    config: &ParallelConfig<'_>,
+    config: &ParallelConfig,
 ) -> Result<ParallelOutcome, CampaignError>
 where
     F: Fn(usize) -> Result<Session, CampaignError> + Sync,
 {
     assert!(config.workers > 0, "need at least one worker");
     assert!(config.epoch_len > 0, "need at least one iteration per epoch");
-    let mut mutator = Mutator::new(descs.to_vec(), dict.clone(), strategy);
-    if let Some(direction) = config.direction {
-        mutator.set_operands(direction.operands());
-    }
+    let mutator = Mutator::new(descs.to_vec(), dict.clone(), strategy);
     let shared = Shared {
         stop: AtomicBool::new(config.campaign.iterations == 0),
         next_iter: AtomicU64::new(0),
         epoch_end: AtomicU64::new(config.epoch_len.min(config.campaign.iterations)),
-        snapshot: Mutex::new(Arc::new(Snapshot { programs: Vec::new(), scores: Vec::new() })),
+        snapshot: Mutex::new(Arc::new(Vec::new())),
         results: Mutex::new(Vec::new()),
         merge: Mutex::new(MergeState {
             corpus: Corpus::new(),
@@ -598,7 +561,6 @@ where
         fuzz_wall,
         cache: workers.iter().fold(CacheStats::default(), |cache, w| cache.merged(w.cache)),
         slow_path_checks: workers.iter().map(|w| w.slow_path_checks).sum(),
-        frontier: crate::directed::frontier(state.corpus.scores()),
         base_bytes: max(|w| w.base_bytes),
         base_resident_bytes: max(|w| w.base_resident_bytes),
         max_worker_overlay_bytes: max(|w| w.peak_overlay_bytes),
@@ -613,14 +575,14 @@ where
 }
 
 /// Runs the parallel engine for one firmware in its Table-1 configuration
-/// (the `embsan fuzz --workers N` path; directed with `--analysis`).
+/// (the undirected `embsan fuzz --workers N` path).
 ///
 /// # Errors
 ///
 /// See [`CampaignError`].
 pub fn run_parallel_campaign(
     spec: &FirmwareSpec,
-    config: &ParallelConfig<'_>,
+    config: &ParallelConfig,
 ) -> Result<(CampaignResult, ParallelOutcome), CampaignError> {
     let image = spec
         .build(spec.default_san_mode())
@@ -645,7 +607,7 @@ mod tests {
     use super::*;
     use embsan_guestos::firmware_by_name;
 
-    fn small_config(workers: usize, iterations: u64) -> ParallelConfig<'static> {
+    fn small_config(workers: usize, iterations: u64) -> ParallelConfig {
         ParallelConfig {
             workers,
             epoch_len: 32,

@@ -255,7 +255,8 @@ fn json_surfaces_are_total() {
         "\"workers\"",
         "\"version\"",
         "\"embsan-analysis-v1\"",
-        "\"blocks\"",
+        "\"embsan-analysis-v2\"",
+        "\"cmp_operands\"",
     ];
     let mut rng = embsan::fuzz::SplitMix64::seed_from_u64(0x15_0A);
     let mut garbage = Vec::new();

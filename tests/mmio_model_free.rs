@@ -90,7 +90,6 @@ fn observe_withheld(spec: &FirmwareSpec, workers: usize, seed: u64, iterations: 
         workers,
         epoch_len: 16,
         trace: false,
-        direction: None,
         campaign: withheld_campaign(spec, iterations, seed),
     };
     let (_, outcome): (_, ParallelOutcome) = run_parallel_campaign(spec, &config).unwrap();

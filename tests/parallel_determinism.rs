@@ -8,12 +8,11 @@ use embsan::fuzz::parallel::{run_parallel_campaign, ParallelConfig, ParallelOutc
 use embsan::guestos::executor::ExecProgram;
 use embsan::guestos::firmware_by_name;
 
-fn config(workers: usize, seed: u64, iterations: u64) -> ParallelConfig<'static> {
+fn config(workers: usize, seed: u64, iterations: u64) -> ParallelConfig {
     ParallelConfig {
         workers,
         epoch_len: 40,
         trace: false,
-        direction: None,
         campaign: CampaignConfig { iterations, seed, ..CampaignConfig::default() },
     }
 }

@@ -313,48 +313,6 @@ proptest! {
 }
 
 proptest! {
-    /// Static-distance relaxation is exact over arbitrary call-free flow
-    /// graphs: the target block sits at 0, every other block with a finite
-    /// distance is exactly one edge (`MILLI`) farther than its closest
-    /// scored successor, and a block is absent from the map only when none
-    /// of its successors reach the target either. The directed scheduler's
-    /// monotone-progress guarantee rests on this shortest-path shape.
-    #[test]
-    fn block_distance_relaxation_is_exact(
-        succs in proptest::collection::vec(proptest::collection::vec(0usize..12, 0..3), 12),
-        target in 0usize..12,
-    ) {
-        use embsan::analysis::distance::{block_distances, FlowGraph, FlowNode, MILLI};
-        use std::collections::BTreeMap;
-        let addr = |i: usize| 0x1000 + 4 * i as u32;
-        let mut nodes = BTreeMap::new();
-        for (i, s) in succs.iter().enumerate() {
-            nodes.insert(addr(i), FlowNode {
-                start: addr(i),
-                end: addr(i) + 4,
-                succs: s.iter().map(|&j| addr(j)).collect(),
-                call_target: None,
-                indirect_call: false,
-            });
-        }
-        let graph = FlowGraph { fn_entries: vec![addr(0)], address_taken: Vec::new(), nodes };
-        let dist = block_distances(&graph, &[addr(target)]);
-        prop_assert_eq!(dist.get(&addr(target)).copied(), Some(0));
-        for (i, s) in succs.iter().enumerate() {
-            let best = s.iter().filter_map(|&j| dist.get(&addr(j))).min().copied();
-            match dist.get(&addr(i)).copied() {
-                Some(0) => prop_assert_eq!(i, target),
-                Some(d) => prop_assert_eq!(Some(d - MILLI), best, "block {} distance", i),
-                None => prop_assert!(
-                    i != target && best.is_none(),
-                    "unscored block {} has a scored successor", i
-                ),
-            }
-        }
-    }
-}
-
-proptest! {
     /// The parallel engine ships coverage as sparse classified exports and
     /// merges them at epoch barriers; that path must be exactly equivalent
     /// to the sequential fuzzer's dense `merge_novel` — same novelty count,

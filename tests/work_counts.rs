@@ -23,10 +23,10 @@ use embsan::emu::hook::HookConfig;
 use embsan::emu::profile::Arch;
 use embsan::fuzz::campaign::{boot_session, paper_strategy, prepare_session, CampaignConfig};
 use embsan::fuzz::descs::base_descriptions;
-use embsan::fuzz::parallel::{run_parallel, run_parallel_campaign};
+use embsan::fuzz::parallel::run_parallel;
 use embsan::fuzz::{
-    descriptions_for, ArgKind, Dictionary, Direction, Fuzzer, FuzzerConfig, ParallelConfig,
-    ParallelOutcome, Strategy, SyscallDesc,
+    descriptions_for, ArgKind, Dictionary, Fuzzer, FuzzerConfig, ParallelConfig, ParallelOutcome,
+    Strategy, SyscallDesc,
 };
 use embsan::guestos::bugs::{BugKind, BugSpec};
 use embsan::guestos::executor::sys;
@@ -256,7 +256,6 @@ struct EpochCounts {
     coverage: usize,
     findings: usize,
     epochs: u64,
-    frontier: Option<(u32, u32)>,
     /// FNV-1a of the findings (minimized reproducers included) and the
     /// corpus, both in canonical order.
     fingerprint: u64,
@@ -270,12 +269,11 @@ fn epoch_counts(outcome: &ParallelOutcome) -> EpochCounts {
         coverage: stats.coverage,
         findings: stats.findings,
         epochs: stats.epochs,
-        frontier: stats.frontier,
         fingerprint: fnv1a(format!("{:?} {:?}", outcome.findings, outcome.corpus).as_bytes()),
     }
 }
 
-fn epoch_config(workers: usize, iterations: u64, seed: u64) -> ParallelConfig<'static> {
+fn epoch_config(workers: usize, iterations: u64, seed: u64) -> ParallelConfig {
     ParallelConfig {
         workers,
         campaign: CampaignConfig { iterations, seed, ..CampaignConfig::default() },
@@ -284,12 +282,21 @@ fn epoch_config(workers: usize, iterations: u64, seed: u64) -> ParallelConfig<'s
 }
 
 /// Runs `firmware`'s Table-1 campaign on the epoch engine at 1 and 2
-/// workers; both must report `expected`.
-fn check_epochs(firmware: &str, direction: Option<&Direction>, expected: EpochCounts) {
+/// workers, with the analysis harvest in the dictionary when `harvest`;
+/// both must report `expected`.
+fn check_epochs(firmware: &str, harvest: bool, expected: EpochCounts) {
     let spec = firmware_by_name(firmware).unwrap();
+    let image = spec.build(spec.default_san_mode()).unwrap();
+    let mut dict = Dictionary::extract(&image);
+    if harvest {
+        dict = dict.with_wide(&AnalysisArtifact::from_image(&image).operands());
+    }
     for workers in [1, 2] {
-        let config = ParallelConfig { direction, ..epoch_config(workers, ITERATIONS, SEED) };
-        let (_, outcome) = run_parallel_campaign(spec, &config).unwrap();
+        let config = epoch_config(workers, ITERATIONS, SEED);
+        let factory = |_worker: usize| prepare_session(spec, &config.campaign).map(|(s, _)| s);
+        let outcome =
+            run_parallel(factory, &descriptions_for(spec), &dict, paper_strategy(spec), &config)
+                .unwrap();
         let actual = epoch_counts(&outcome);
         assert_eq!(actual, expected, "{firmware} x{workers}: epoch-engine results moved");
     }
@@ -299,77 +306,63 @@ fn check_epochs(firmware: &str, direction: Option<&Direction>, expected: EpochCo
 fn epoch_engine_undirected_counts() {
     check_epochs(
         "TP-Link WDR-7660",
-        None,
+        false,
         EpochCounts {
             execs: 400,
             corpus: 94,
             coverage: 155,
             findings: 0,
             epochs: 7,
-            frontier: None,
             fingerprint: 0x88CC_DCB5_C4DB_FAA3,
         },
     );
 }
 
-/// The directed case of `tests/directed.rs`: the analysis's race-candidate
-/// default targets on TP-Link WDR-7660 (the last function entry when it
-/// finds none).
+/// The same campaign with TP-Link WDR-7660's own harvest in the
+/// dictionary. Its image has no wide gate, and this short campaign's
+/// results equal the undirected ones.
 #[test]
 fn epoch_engine_directed_counts() {
-    let spec = firmware_by_name("TP-Link WDR-7660").unwrap();
-    let artifact = AnalysisArtifact::from_image(&spec.build(spec.default_san_mode()).unwrap());
-    let targets = if artifact.default_targets.is_empty() {
-        vec![*artifact.graph.fn_entries.last().unwrap()]
-    } else {
-        Vec::new()
-    };
-    let direction = Direction::from_artifact(&artifact, &targets).unwrap();
     check_epochs(
         "TP-Link WDR-7660",
-        Some(&direction),
+        true,
         EpochCounts {
             execs: 400,
             corpus: 94,
             coverage: 155,
             findings: 0,
             epochs: 7,
-            frontier: Some((0, 31)),
             fingerprint: 0x88CC_DCB5_C4DB_FAA3,
         },
     );
 }
 
 /// The `embsan fuzz --workers N --analysis` route on a wide-gated image:
-/// the harvested operand opens the gate, the anneal clock passes its first
-/// step, and the finding goes through triage.
+/// the harvested operand opens the gate and the finding goes through
+/// triage.
 #[test]
 fn epoch_engine_wide_gate_counts() {
     let bug = BugSpec::new("fuzz/wide", BugKind::OobWrite);
     let opts = BuildOptions::new(Arch::Armv).san(SanMode::SanCall).wide_gates(true);
     let image = os::emblinux::build(&opts, &[bug]).unwrap();
     let artifacts = probe(&image, ProbeMode::CompileTime, None).unwrap();
-    let artifact = AnalysisArtifact::from_image(&image);
-    let handler = image.symbol("sys_bug_0").unwrap();
-    let direction = Direction::from_artifact(&artifact, &[handler]).unwrap();
     let mut descs = base_descriptions();
     descs.push(SyscallDesc { nr: sys::BUG_BASE, args: vec![ArgKind::Key] });
-    let dict = Dictionary::extract(&image);
+    let operands = AnalysisArtifact::from_image(&image).operands();
+    let dict = Dictionary::extract(&image).with_wide(&operands);
     for workers in [1, 2] {
-        let config =
-            ParallelConfig { direction: Some(&direction), ..epoch_config(workers, 3000, 9) };
+        let config = epoch_config(workers, 3000, 9);
         let factory = |_worker: usize| boot_session(&image, &artifacts, 1, &config.campaign);
         let outcome = run_parallel(factory, &descs, &dict, Strategy::Tardis, &config).unwrap();
         assert_eq!(
             epoch_counts(&outcome),
             EpochCounts {
                 execs: 3_000,
-                corpus: 215,
-                coverage: 347,
+                corpus: 222,
+                coverage: 351,
                 findings: 1,
                 epochs: 47,
-                frontier: Some((0, 0)),
-                fingerprint: 0xFAC3_0739_10B9_5D4C,
+                fingerprint: 0xEF9E_3558_F45D_6ADC,
             },
             "wide gate x{workers}: epoch-engine results moved"
         );
