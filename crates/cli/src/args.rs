@@ -12,7 +12,7 @@ pub struct Parsed {
     pub flags: Vec<String>,
 }
 
-/// Option keys that take a value (everything else after `--` is a flag).
+/// Option keys that take a value.
 const VALUED: &[&str] = &[
     "arch",
     "san",
@@ -53,11 +53,15 @@ const VALUED: &[&str] = &[
     "mmio-model-free",
 ];
 
+/// Bare switches. Any other `--key` is a usage error.
+const FLAGS: &[&str] = &["strip", "wide-gates", "supervised", "mmio-withheld", "trace"];
+
 /// Parses `argv` (without the subcommand itself).
 ///
 /// # Errors
 ///
-/// Returns a message if a valued option is missing its value.
+/// Returns a message if an option is unknown or a valued option is missing
+/// its value.
 pub fn parse(argv: &[String]) -> Result<Parsed, String> {
     let mut parsed = Parsed::default();
     let mut iter = argv.iter().peekable();
@@ -66,8 +70,10 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
             if VALUED.contains(&key) {
                 let value = iter.next().ok_or_else(|| format!("option --{key} needs a value"))?;
                 parsed.options.push((key.to_string(), value.clone()));
-            } else {
+            } else if FLAGS.contains(&key) {
                 parsed.flags.push(key.to_string());
+            } else {
+                return Err(format!("unknown option `{arg}` (try `embsan help`)"));
             }
         } else {
             parsed.positional.push(arg.clone());
@@ -120,13 +126,23 @@ mod tests {
             "a:uaf",
             "--bug",
             "b:oob-write",
-            "--verbose",
+            "--strip",
         ]))
         .unwrap();
         assert_eq!(parsed.positional, vec!["emblinux"]);
         assert_eq!(parsed.option("arch"), Some("mips"));
         assert_eq!(parsed.option_all("bug"), vec!["a:uaf", "b:oob-write"]);
-        assert!(parsed.flags.contains(&"verbose".to_string()));
+        assert!(parsed.flags.contains(&"strip".to_string()));
+    }
+
+    #[test]
+    fn unknown_options_are_errors() {
+        // A misspelt valued option and a removed one: neither may be taken
+        // for a switch while its value runs as a positional.
+        for argv in [["--iter", "10"], ["--target", "sys_bug_0"]] {
+            let err = parse(&argv.map(String::from)).unwrap_err();
+            assert!(err.contains(argv[0]), "{err}");
+        }
     }
 
     #[test]

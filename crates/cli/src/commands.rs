@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use std::fs;
+use std::io::Write;
 
 use embsan_analysis::audit::audit;
 use embsan_analysis::cfg::Cfg;
@@ -20,6 +21,25 @@ use embsan_guestos::executor::ExecProgram;
 use embsan_guestos::{os, BuildOptions, SanMode};
 
 use crate::args::{parse, Parsed};
+
+/// `println!` for command output: a failed write to stdout (say, a reader
+/// that closed the pipe early) ends the command with an error, not a panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
+/// `print!` counterpart of [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
+fn stdout_error(error: std::io::Error) -> String {
+    format!("cannot write to stdout: {error}")
+}
 
 const HELP: &str = "\
 embsan — decoupled on-host sanitizing of embedded OS firmware
@@ -55,6 +75,8 @@ USAGE:
                                  boot under EMBSAN and run executor calls
   embsan fuzz <image> [--iters N] [--seed S] [--syscalls N] [--cpus N]
                                  coverage-guided fuzzing with EMBSAN attached
+                                 (one worker, merging every iteration, unless
+                                 --workers or --epoch say otherwise)
       --analysis FILE            directed campaign: the harvested comparison
                                  operands of an embsan-analysis-v2 artifact
                                  join the dictionary, spliced whole by
@@ -62,13 +84,14 @@ USAGE:
                                  Deterministic for a fixed seed + artifact;
                                  ignored (with a note) on supervised/
                                  journaled runs
-      --workers N                parallel campaign engine with N workers;
-                                 findings and corpus are identical to the
-                                 1-worker run (deterministic merges). Ignored
+      --workers N                N worker threads; findings and corpus are
+                                 identical to the 1-worker run at the same
+                                 --epoch (deterministic merges). Ignored
                                  (single-thread) on supervised/journaled runs
-      --epoch N                  merge period of the parallel engine
-                                 (iterations per epoch, at least 1, default
-                                 64). Ignored (with a note) without --workers
+      --epoch N                  iterations per epoch (the merge period), at
+                                 least 1; default 1, or 64 with --workers.
+                                 Ignored (with a note) on supervised/
+                                 journaled runs, which merge every iteration
       --journal FILE             supervised run; stream findings, corpus adds
                                  and checkpoints to an append-only journal
       --resume FILE              resume a killed campaign from its journal
@@ -86,9 +109,7 @@ USAGE:
                                  file is identical for every worker count
                                  at a fixed seed)
       --trace-out FILE           write the merged embsan-trace-v1 event
-                                 trace (deterministic event subset; plain
-                                 runs route through the supervised loop to
-                                 collect per-iteration spans)
+                                 trace (deterministic event subset)
       --mmio-model-free BASE:SIZE
                                  serve guest reads in [BASE, BASE+SIZE) from
                                  a fuzzer-controlled response stream with
@@ -154,13 +175,13 @@ USAGE:
 /// Returns a human-readable message for any failure.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let Some((command, rest)) = argv.split_first() else {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     };
     let parsed = parse(rest)?;
     match command.as_str() {
         "help" | "--help" | "-h" => {
-            print!("{HELP}");
+            out!("{HELP}");
             Ok(())
         }
         "build" => cmd_build(&parsed),
@@ -247,7 +268,7 @@ fn cmd_build(parsed: &Parsed) -> Result<(), String> {
     let image = if parsed.flags.iter().any(|f| f == "strip") { image.strip() } else { image };
     let out = parsed.option("o").unwrap_or("firmware.evfw");
     fs::write(out, image.to_bytes()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    outln!(
         "wrote {out}: {} ({}, {:?}), {} bytes text, {} symbols, {} seeded bug(s)",
         os_name,
         image.arch,
@@ -261,24 +282,28 @@ fn cmd_build(parsed: &Parsed) -> Result<(), String> {
 
 fn cmd_inspect(parsed: &Parsed) -> Result<(), String> {
     let image = load_image(parsed)?;
-    println!("arch:         {}", image.arch);
-    println!("instrumented: {:?}", image.instr);
-    println!("entry:        {:#010x}", image.entry);
-    println!("rom:          {:#010x} ({} bytes)", image.rom_base, image.text.len());
-    println!("ram:          {:#010x} ({} bytes)", image.ram_base, image.ram_size);
+    outln!("arch:         {}", image.arch);
+    outln!("instrumented: {:?}", image.instr);
+    outln!("entry:        {:#010x}", image.entry);
+    outln!("rom:          {:#010x} ({} bytes)", image.rom_base, image.text.len());
+    outln!("ram:          {:#010x} ({} bytes)", image.ram_base, image.ram_size);
     match image.ready {
-        Some(addr) => println!("ready:        {addr:#010x}"),
-        None => println!("ready:        (unknown)"),
+        Some(addr) => outln!("ready:        {addr:#010x}"),
+        None => outln!("ready:        (unknown)"),
     }
-    println!("symbols:      {}", image.symbols.len());
+    outln!("symbols:      {}", image.symbols.len());
     for sym in &image.symbols {
-        println!("  {:#010x} {:>7} {:?} {}", sym.addr, sym.size, sym.kind, sym.name);
+        outln!("  {:#010x} {:>7} {:?} {}", sym.addr, sym.size, sym.kind, sym.name);
     }
-    println!("sanitized globals: {}", image.globals.len());
+    outln!("sanitized globals: {}", image.globals.len());
     for g in &image.globals {
-        println!(
+        outln!(
             "  {:#010x} size {:>5} redzones {}/{} {}",
-            g.addr, g.size, g.redzone_before, g.redzone_after, g.name
+            g.addr,
+            g.size,
+            g.redzone_before,
+            g.redzone_after,
+            g.name
         );
     }
     Ok(())
@@ -294,69 +319,71 @@ fn cmd_analyze(parsed: &Parsed) -> Result<(), String> {
     {
         fs::write(path, artifact.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         if !json_stdout {
-            println!("wrote {path}: embsan-analysis-v2, {} operands", artifact.cmp_operands.len());
+            outln!("wrote {path}: embsan-analysis-v2, {} operands", artifact.cmp_operands.len());
         }
     }
     if json_stdout {
         // Pure JSON on stdout for piping; the plain report is suppressed.
-        print!("{}", artifact.to_json());
+        out!("{}", artifact.to_json());
         return Ok(());
     }
-    println!("== control-flow recovery ==");
-    println!(
+    outln!("== control-flow recovery ==");
+    outln!(
         "text:       {} bytes, {} reachable instructions ({:.1}% of text)",
         image.text.len(),
         cfg.reachable_insns(),
         100.0 * cfg.reachable_fraction()
     );
-    println!(
+    outln!(
         "blocks:     {}   functions: {}   address-taken targets: {}",
         cfg.blocks.len(),
         cfg.functions.len(),
         cfg.address_taken.len()
     );
 
-    println!("\n== probe-coverage audit (memory probes armed) ==");
+    outln!("\n== probe-coverage audit (memory probes armed) ==");
     let report = audit(&image, HookConfig::all()).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{} blocks audited, {} memory sites checked, {} probed ops",
-        report.blocks_audited, report.checked_sites, report.probed_sites
+        report.blocks_audited,
+        report.checked_sites,
+        report.probed_sites
     );
     if report.is_clean() {
-        println!("verdict:    CLEAN — every reachable memory op carries a probe");
+        outln!("verdict:    CLEAN — every reachable memory op carries a probe");
     } else {
-        println!(
+        outln!(
             "verdict:    VIOLATIONS — {} missing, {} spurious, {} uncovered",
             report.missing.len(),
             report.spurious.len(),
             report.uncovered.len()
         );
         for (pc, insn) in report.missing.iter().take(8) {
-            println!("  missing probe at {pc:#010x}: {insn}");
+            outln!("  missing probe at {pc:#010x}: {insn}");
         }
     }
 
-    println!("\n== allocator-signature candidates (ranked) ==");
+    outln!("\n== allocator-signature candidates (ranked) ==");
     let priors = static_priors_from_cfg(&cfg, &image);
     let name_of =
         |addr: u32| image.function_at(addr).map_or_else(String::new, |s| format!("  {}", s.name));
     for &addr in &priors.alloc_candidates {
-        println!("  alloc {:#010x}{}", addr, name_of(addr));
+        outln!("  alloc {:#010x}{}", addr, name_of(addr));
     }
     for &addr in &priors.free_candidates {
-        println!("  free  {:#010x}{}", addr, name_of(addr));
+        outln!("  free  {:#010x}{}", addr, name_of(addr));
     }
     if priors.alloc_candidates.is_empty() && priors.free_candidates.is_empty() {
-        println!("  (none)");
+        outln!("  (none)");
     }
 
-    println!("\n== lockset race candidates (KCSAN watchpoint priority order) ==");
+    outln!("\n== lockset race candidates (KCSAN watchpoint priority order) ==");
     let candidates = race_candidates(&cfg, &image);
     if candidates.is_empty() {
-        println!("  (none)");
+        outln!("  (none)");
     }
     for c in candidates.iter().take(10) {
-        println!(
+        outln!(
             "  {:#010x}{} sites={} writes={} unlocked={} unlocked-writes={}",
             c.addr,
             c.symbol.as_ref().map_or_else(String::new, |s| format!(" ({s})")),
@@ -368,15 +395,15 @@ fn cmd_analyze(parsed: &Parsed) -> Result<(), String> {
     }
 
     // Operands print sorted by value so the output golden-tests cleanly.
-    println!("\n== comparison-operand harvest (multi-byte branch constants) ==");
+    outln!("\n== comparison-operand harvest (multi-byte branch constants) ==");
     if artifact.cmp_operands.is_empty() {
-        println!("  (none)");
+        outln!("  (none)");
     }
     for op in artifact.cmp_operands.iter().take(12) {
-        println!("  {:#010x} guarded at {:#010x}{}", op.value, op.block, name_of(op.block));
+        outln!("  {:#010x} guarded at {:#010x}{}", op.value, op.block, name_of(op.block));
     }
     if artifact.cmp_operands.len() > 12 {
-        println!("  ... {} more", artifact.cmp_operands.len() - 12);
+        outln!("  ... {} more", artifact.cmp_operands.len() - 12);
     }
     Ok(())
 }
@@ -387,12 +414,12 @@ fn cmd_disasm(parsed: &Parsed) -> Result<(), String> {
     for (i, chunk) in image.text.chunks_exact(4).enumerate() {
         let addr = image.rom_base + 4 * i as u32;
         if let Some(sym) = image.symbols.iter().find(|s| s.addr == addr) {
-            println!("\n{}:", sym.name);
+            outln!("\n{}:", sym.name);
         }
         let word = Word::from_bytes([chunk[0], chunk[1], chunk[2], chunk[3]], profile.endian);
         match Insn::decode(word) {
-            Ok(insn) => println!("  {addr:#010x}: {insn}"),
-            Err(_) => println!("  {addr:#010x}: .word {:#010x}", word.0),
+            Ok(insn) => outln!("  {addr:#010x}: {insn}"),
+            Err(_) => outln!("  {addr:#010x}: .word {:#010x}", word.0),
         }
     }
     Ok(())
@@ -413,9 +440,9 @@ fn cmd_distill(parsed: &Parsed) -> Result<(), String> {
             .collect::<Result<Vec<_>, String>>()?
     };
     for spec in &specs {
-        println!("{spec}\n");
+        outln!("{spec}\n");
     }
-    println!("# merged specification (§3.1 union rules)\n{}", merge(&specs));
+    outln!("# merged specification (§3.1 union rules)\n{}", merge(&specs));
     Ok(())
 }
 
@@ -439,8 +466,8 @@ fn cmd_probe(parsed: &Parsed) -> Result<(), String> {
     let image = load_image(parsed)?;
     let mode = probe_mode(parsed, &image)?;
     let artifacts = probe(&image, mode, None).map_err(|e| e.to_string())?;
-    println!("# probed with {mode:?}");
-    print!("{}", artifacts.to_dsl());
+    outln!("# probed with {mode:?}");
+    out!("{}", artifacts.to_dsl());
     Ok(())
 }
 
@@ -527,16 +554,16 @@ fn cmd_run(parsed: &Parsed) -> Result<(), String> {
     let mut session = ready_session(parsed, &load_image(parsed)?, &fuzz_campaign(parsed)?)?;
     let program = calls_program(parsed)?;
     let outcome = session.run_program(&program, 50_000_000).map_err(|e| e.to_string())?;
-    println!("exit:    {:?}", outcome.exit);
-    println!("results: {:?}", outcome.results);
+    outln!("exit:    {:?}", outcome.exit);
+    outln!("results: {:?}", outcome.results);
     if !outcome.console.is_empty() {
-        println!("console: {}", String::from_utf8_lossy(&outcome.console));
+        outln!("console: {}", String::from_utf8_lossy(&outcome.console));
     }
     if outcome.reports.is_empty() {
-        println!("no sanitizer reports");
+        outln!("no sanitizer reports");
     }
     for report in &outcome.reports {
-        print!("{}", session.render_report(report));
+        out!("{}", session.render_report(report));
     }
     Ok(())
 }
@@ -573,18 +600,18 @@ fn cmd_trace(parsed: &Parsed) -> Result<(), String> {
     match parsed.option("out") {
         Some(path) => {
             fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}: {} events, exit {:?}", events.len(), outcome.exit);
+            outln!("wrote {path}: {} events, exit {:?}", events.len(), outcome.exit);
         }
         // Status goes to stderr so a piped stdout stays pure JSONL.
         None => {
-            print!("{text}");
+            out!("{text}");
             eprintln!("{} events, exit {:?}", events.len(), outcome.exit);
         }
     }
     if let Some(path) = parsed.option("metrics-out") {
         let json = session.metrics_snapshot().to_json(false);
         fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -622,7 +649,7 @@ fn fuzz_dictionary(
         ));
     }
     let dict = dict.with_wide(&artifact.operands());
-    println!("directed: {} harvested operand(s) from {path}", dict.wide().len());
+    outln!("directed: {} harvested operand(s) from {path}", dict.wide().len());
     Ok(dict)
 }
 
@@ -651,34 +678,35 @@ fn write_fuzz_outputs(
     if let Some(path) = parsed.option("trace-out") {
         let trace = trace.ok_or("no event trace was collected")?;
         fs::write(path, trace.to_jsonl(meta)).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}: {} events", trace.event_count());
+        outln!("wrote {path}: {} events", trace.event_count());
     }
     if let Some(path) = parsed.option("metrics-out") {
         fs::write(path, snapshot.to_json(false))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
 
-fn print_findings(findings: &[embsan_fuzz::Finding]) {
+fn print_findings(findings: &[embsan_fuzz::Finding]) -> Result<(), String> {
     for finding in findings {
         let calls: Vec<u8> = finding.program.calls.iter().map(|c| c.nr).collect();
-        println!(
-            "[{}] pc={:#010x} reproducer calls {calls:?}",
-            finding.report.class, finding.report.pc
-        );
+        let report = &finding.report;
+        outln!("[{}] pc={:#010x} reproducer calls {calls:?}", report.class, report.pc);
     }
+    Ok(())
 }
 
-fn print_supervised(outcome: &embsan_fuzz::SupervisedOutcome) {
-    let stats = &outcome.stats;
-    println!(
-        "execs {}  corpus {}  coverage {}  findings {}",
-        stats.execs, stats.corpus, stats.coverage, stats.findings
-    );
+fn print_stats(stats: embsan_fuzz::FuzzerStats) -> Result<(), String> {
+    let embsan_fuzz::FuzzerStats { execs, corpus, coverage, findings } = stats;
+    outln!("execs {execs}  corpus {corpus}  coverage {coverage}  findings {findings}");
+    Ok(())
+}
+
+fn print_supervised(outcome: &embsan_fuzz::SupervisedOutcome) -> Result<(), String> {
+    print_stats(outcome.stats)?;
     let health = &outcome.health;
-    println!(
+    outln!(
         "health: wedges {}  recoveries {}  quarantined {}  transient-retries {}  \
          wfi-hangs {}  checkpoints {}",
         health.wedges,
@@ -690,7 +718,7 @@ fn print_supervised(outcome: &embsan_fuzz::SupervisedOutcome) {
     );
     let inj = &outcome.injection;
     if inj.total() > 0 {
-        println!(
+        outln!(
             "faults injected: {} (ram-bit-flips {}  mmio {}  irqs {}  alloc-fail {}  wedges {})",
             inj.total(),
             inj.ram_bit_flips,
@@ -701,66 +729,57 @@ fn print_supervised(outcome: &embsan_fuzz::SupervisedOutcome) {
         );
     }
     if !outcome.completed {
-        println!(
+        outln!(
             "stopped early at iteration {} (resume with `embsan fuzz --resume <journal>`)",
             outcome.iterations_done
         );
     }
-    print_findings(&outcome.findings);
+    print_findings(&outcome.findings)
 }
 
 fn cmd_fuzz(parsed: &Parsed) -> Result<(), String> {
     let workers_flag = parsed.option("workers").is_some();
     let workers = parsed.option_u64("workers", 1)? as usize;
-    if workers_flag && workers == 0 {
+    if workers == 0 {
         return Err("--workers must be at least 1".to_string());
     }
-    let epoch_len = parsed.option_u64("epoch", 64)?;
+    // One worker merges every iteration by default, like the supervised
+    // loop; --workers N amortizes its barriers over 64-iteration epochs.
+    let epoch_len = parsed.option_u64("epoch", if workers_flag { 64 } else { 1 })?;
     if epoch_len == 0 {
         return Err("--epoch must be at least 1".to_string());
-    }
-    let mut degraded = Vec::new();
-    if parsed.option("epoch").is_some() && !workers_flag {
-        // Only the parallel engine merges in epochs; every other path runs
-        // one sequential iteration stream.
-        degraded.push(warn_degraded(
-            "sequential",
-            "epoch_ignored",
-            epoch_len,
-            format!("only --workers runs merge in epochs; ignoring --epoch {epoch_len}"),
-        ));
     }
     let supervised = parsed.option("journal").is_some()
         || parsed.option("resume").is_some()
         || parsed.option("fault-plan").is_some()
         || parsed.option("kill-after").is_some()
         || parsed.flags.iter().any(|f| f == "supervised");
-    if supervised {
-        if workers > 1 {
-            // The journaled path's contract is bit-identical single-thread
-            // replay; --workers composes by falling back, not by changing
-            // the journal format.
-            degraded.push(warn_degraded(
-                "supervised",
-                "workers_ignored",
-                workers as u64,
-                format!(
-                    "supervised/journaled runs are single-thread; ignoring --workers {workers}"
-                ),
-            ));
-        }
-        cmd_fuzz_supervised(parsed, degraded)
-    } else if workers_flag {
-        // An explicit --workers always uses the parallel engine — including
-        // --workers 1 — so results are comparable across every worker count.
-        cmd_fuzz_parallel(parsed, workers, epoch_len)
-    } else if parsed.option("trace-out").is_some() {
-        // Merged per-iteration traces come from the supervised loop; a
-        // traced plain run is a supervised run with the default policy.
-        cmd_fuzz_supervised(parsed, degraded)
-    } else {
-        cmd_fuzz_plain(parsed, degraded)
+    if !supervised {
+        return cmd_fuzz_epochs(parsed, workers, epoch_len);
     }
+    // The journaled path's contract is bit-identical single-thread replay
+    // at one iteration per epoch; --workers and --epoch compose by
+    // falling back, not by changing the journal format.
+    let mut degraded = Vec::new();
+    if workers > 1 {
+        degraded.push(warn_degraded(
+            "supervised",
+            "workers_ignored",
+            workers as u64,
+            format!("supervised/journaled runs are single-thread; ignoring --workers {workers}"),
+        ));
+    }
+    if parsed.option("epoch").is_some() {
+        degraded.push(warn_degraded(
+            "supervised",
+            "epoch_ignored",
+            epoch_len,
+            format!(
+                "supervised/journaled runs merge every iteration; ignoring --epoch {epoch_len}"
+            ),
+        ));
+    }
+    cmd_fuzz_supervised(parsed, degraded)
 }
 
 /// Emits a degraded-mode warning as a structured `embsan-trace-v1` event
@@ -787,7 +806,11 @@ fn warn_degraded(
     }
 }
 
-fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize, epoch_len: u64) -> Result<(), String> {
+/// An unsupervised campaign on the epoch engine: `workers` sessions,
+/// merging every `epoch_len` iterations. Stdout holds only results, so it
+/// is byte-identical across repeated runs; wall time and cache counters go
+/// to stderr.
+fn cmd_fuzz_epochs(parsed: &Parsed, workers: usize, epoch_len: u64) -> Result<(), String> {
     use embsan_fuzz::{run_parallel, ParallelConfig, Strategy};
     let image = load_image(parsed)?;
     let (artifacts, cpus) = probe_image(parsed, &image)?;
@@ -799,23 +822,18 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize, epoch_len: u64) -> Result<
         trace: parsed.option("trace-out").is_some(),
     };
     let syscall_descs = fuzz_descriptions(parsed)?;
-    println!(
-        "parallel fuzzing: {} iterations, seed {}, {} workers, epoch {}, dictionary {} entries",
-        config.campaign.iterations,
-        config.campaign.seed,
-        workers,
-        config.epoch_len,
+    let (iters, seed) = (config.campaign.iterations, config.campaign.seed);
+    outln!(
+        "fuzzing: {iters} iterations, seed {seed}, {workers} worker(s), epoch {epoch_len}, \
+         dictionary {} entries",
         dict.len()
     );
     let factory = |_worker: usize| boot_session(&image, &artifacts, cpus, &config.campaign);
     let outcome = run_parallel(factory, &syscall_descs, &dict, Strategy::Tardis, &config)
         .map_err(|e| e.to_string())?;
     let stats = &outcome.stats;
-    println!(
-        "execs {}  corpus {}  coverage {}  findings {}",
-        stats.execs, stats.corpus, stats.coverage, stats.findings
-    );
-    println!(
+    print_stats(stats.fuzzer_stats())?;
+    eprintln!(
         "wall {:.2}s ({:.0} execs/sec)  epochs {}  cache: {} translations, {} hits, \
          {} generation reuses",
         stats.fuzz_wall.as_secs_f64(),
@@ -825,35 +843,13 @@ fn cmd_fuzz_parallel(parsed: &Parsed, workers: usize, epoch_len: u64) -> Result<
         stats.cache.hits,
         stats.cache.generation_hits
     );
-    print_findings(&outcome.findings);
+    print_findings(&outcome.findings)?;
     // No worker count in the meta: the trace and deterministic metrics are
     // byte-identical for every worker count, and the header must be too.
-    let seed = config.campaign.seed.to_string();
-    let iters = config.campaign.iterations.to_string();
-    let meta = [("engine", "parallel"), ("seed", seed.as_str()), ("iterations", iters.as_str())];
+    let (seed, iters) = (seed.to_string(), iters.to_string());
+    let meta = [("engine", "epoch"), ("seed", seed.as_str()), ("iterations", iters.as_str())];
     let snapshot = outcome.stats.metrics_snapshot();
     write_fuzz_outputs(parsed, outcome.trace.as_ref(), snapshot, Vec::new(), &meta)
-}
-
-fn cmd_fuzz_plain(parsed: &Parsed, degraded: Vec<embsan_obs::MetricEntry>) -> Result<(), String> {
-    use embsan_fuzz::{Fuzzer, FuzzerConfig, Strategy};
-    let image = load_image(parsed)?;
-    let campaign = fuzz_campaign(parsed)?;
-    let mut session = ready_session(parsed, &image, &campaign)?;
-    let syscall_descs = fuzz_descriptions(parsed)?;
-    let dict = fuzz_dictionary(parsed, &image)?;
-    let (iters, seed) = (campaign.iterations, campaign.seed);
-    println!("fuzzing: {iters} iterations, seed {seed}, dictionary {} entries", dict.len());
-    let config = FuzzerConfig::new(Strategy::Tardis, seed);
-    let mut fuzzer = Fuzzer::new(&mut session, syscall_descs, dict, config);
-    fuzzer.run(iters).map_err(|e| e.to_string())?;
-    let stats = fuzzer.stats();
-    println!(
-        "execs {}  corpus {}  coverage {}  findings {}",
-        stats.execs, stats.corpus, stats.coverage, stats.findings
-    );
-    print_findings(&fuzzer.into_findings());
-    write_fuzz_outputs(parsed, None, session.metrics_snapshot(), degraded, &[])
 }
 
 /// A supervised run: a fresh campaign from the command line, or with
@@ -910,13 +906,13 @@ fn cmd_fuzz_supervised(
     let seed = run.start.seed.to_string();
     let iters = run.start.iterations.to_string();
     match parsed.option("resume") {
-        Some(path) => println!(
+        Some(path) => outln!(
             "resuming: {} at iteration {}/{iters} (journal {path}{})",
             run.start.firmware,
             run.resume.as_ref().map_or(0, |point| point.iteration),
             if run.truncated { ", torn tail discarded" } else { "" }
         ),
-        None => println!(
+        None => outln!(
             "supervised fuzzing: {iters} iterations, seed {seed}, dictionary {} entries{}",
             dict.len(),
             if policy.fault_plan.is_some() { ", fault plan armed" } else { "" }
@@ -929,7 +925,7 @@ fn cmd_fuzz_supervised(
             }
             _ => e.to_string(),
         })?;
-    print_supervised(&outcome);
+    print_supervised(&outcome)?;
     let meta = [("engine", "supervised"), ("seed", seed.as_str()), ("iterations", iters.as_str())];
     write_fuzz_outputs(parsed, outcome.trace.as_ref(), outcome.metrics_snapshot(), degraded, &meta)
 }
@@ -962,7 +958,7 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
     let engine = ServeEngine::open(config)?;
     let queued =
         engine.jobs_status().iter().filter(|(_, _, phase, _)| !phase.is_terminal()).count();
-    println!("serve: listening on {socket} (state {state_dir}, {queued} job(s) resumable)");
+    outln!("serve: listening on {socket} (state {state_dir}, {queued} job(s) resumable)");
     embsan_serve::run_daemon(engine, &daemon, &mut std::io::stderr())
 }
 
@@ -991,7 +987,7 @@ fn cmd_submit(parsed: &Parsed) -> Result<(), String> {
     }
     let line = Value::object(request).to_string();
     let response = embsan_serve::request(std::path::Path::new(socket), &line)?;
-    println!("{response}");
+    outln!("{response}");
     Ok(())
 }
 
@@ -1005,7 +1001,7 @@ fn cmd_jobs(parsed: &Parsed) -> Result<(), String> {
     }
     let line = Value::object([("cmd", Value::from(action))]).to_string();
     let response = embsan_serve::request(std::path::Path::new(socket), &line)?;
-    println!("{response}");
+    outln!("{response}");
     Ok(())
 }
 

@@ -1,6 +1,6 @@
-//! `--workers` CLI behaviour: parallel worker counts agree with each
-//! other, and the flag composes with `--journal`/`--resume` by falling
-//! back to the bit-identical single-thread supervised path.
+//! `--workers` CLI behaviour: worker counts agree with each other, and the
+//! flag composes with `--journal`/`--resume` by falling back to the
+//! bit-identical single-thread supervised path.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -54,8 +54,8 @@ fn build_image(name: &str) -> PathBuf {
 fn parallel_worker_counts_agree() {
     let image = build_image("agree.evfw");
     let image = image.to_str().unwrap();
-    // An explicit --workers (even 1) routes through the parallel engine, so
-    // every worker count must report the same stats and findings.
+    // Every worker count at the same epoch must report the same stats and
+    // findings.
     let out1 = run_ok(&["fuzz", image, "--iters", "100", "--seed", "9", "--workers", "1"]);
     let out2 = run_ok(&["fuzz", image, "--iters", "100", "--seed", "9", "--workers", "2"]);
     let out4 = run_ok(&["fuzz", image, "--iters", "100", "--seed", "9", "--workers", "4"]);
@@ -165,31 +165,48 @@ fn zero_workers_or_epoch_is_rejected() {
     }
 }
 
-/// `--epoch` is the parallel engine's merge period. Without `--workers`
-/// the run is sequential: the flag is noted as ignored on stderr, and the
-/// run's stdout and deterministic metrics equal those of the run without it.
+/// `--epoch` is the merge period of every unsupervised run: without
+/// `--workers` it is honoured on one worker (default 1), and the results
+/// equal a 2-worker run at the same epoch. Supervised runs merge every
+/// iteration: there the flag is noted as ignored on stderr, and the run's
+/// stdout and deterministic metrics equal those of the run without it.
 #[test]
-fn epoch_without_workers_is_noted_and_changes_nothing() {
+fn epoch_is_honoured_unsupervised_and_noted_when_supervised() {
     let image = build_image("epoch.evfw");
     let image = image.to_str().unwrap();
-    for mode in [&[][..], &["--supervised"]] {
-        let run = |name: &str, epoch: &[&str]| {
-            let metrics = scratch(name);
-            let base = ["fuzz", image, "--iters", "100", "--seed", "3", "--metrics-out"];
-            let argv = [&base[..], &[metrics.to_str().unwrap()], mode, epoch].concat();
-            let (stdout, stderr) = run_ok_captured(&argv);
-            let stdout = stdout.replace(metrics.to_str().unwrap(), "METRICS");
-            (stdout, stderr, std::fs::read(&metrics).unwrap())
-        };
-        let (plain, plain_err, plain_metrics) = run("no-epoch.json", &[]);
-        let (noted, noted_err, noted_metrics) = run("epoch.json", &["--epoch", "16"]);
-        assert!(!plain_err.contains("degraded-mode"), "{mode:?}: {plain_err}");
-        assert!(
-            noted_err.contains("\"event\":\"degraded-mode\"")
-                && noted_err.contains("ignoring --epoch 16"),
-            "{mode:?}: ignored --epoch not noted:\n{noted_err}"
-        );
-        assert_eq!(plain, noted, "{mode:?}");
-        assert_eq!(plain_metrics, noted_metrics, "{mode:?}");
+    let results = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| l.starts_with("execs ") || l.starts_with('['))
+            .map(str::to_string)
+            .collect()
+    };
+    let base = ["fuzz", image, "--iters", "100", "--seed", "3"];
+    for epoch in ["1", "16"] {
+        let (one, one_err) = run_ok_captured(&[&base[..], &["--epoch", epoch]].concat());
+        let two = run_ok(&[&base[..], &["--epoch", epoch, "--workers", "2"]].concat());
+        assert!(!one_err.contains("degraded-mode"), "epoch {epoch}: {one_err}");
+        assert_eq!(results(&one), results(&two), "epoch {epoch}");
     }
+    assert_eq!(run_ok(&base), run_ok(&[&base[..], &["--epoch", "1"]].concat()));
+
+    let run = |name: &str, epoch: &[&str]| {
+        let metrics = scratch(name);
+        let argv =
+            [&base[..], &["--supervised", "--metrics-out", metrics.to_str().unwrap()], epoch]
+                .concat();
+        let (stdout, stderr) = run_ok_captured(&argv);
+        let stdout = stdout.replace(metrics.to_str().unwrap(), "METRICS");
+        (stdout, stderr, std::fs::read(&metrics).unwrap())
+    };
+    let (plain, plain_err, plain_metrics) = run("no-epoch.json", &[]);
+    let (noted, noted_err, noted_metrics) = run("epoch.json", &["--epoch", "16"]);
+    assert!(!plain_err.contains("degraded-mode"), "{plain_err}");
+    assert!(
+        noted_err.contains("\"event\":\"degraded-mode\"")
+            && noted_err.contains("ignoring --epoch 16"),
+        "ignored --epoch not noted:\n{noted_err}"
+    );
+    assert_eq!(plain, noted);
+    assert_eq!(plain_metrics, noted_metrics);
 }

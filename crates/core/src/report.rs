@@ -138,15 +138,21 @@ pub struct Report {
     pub chunk: Option<ChunkInfo>,
     /// Race second party, for [`BugClass::Race`].
     pub other: Option<RaceOther>,
+    /// Call-site signature: a hash of the return addresses on the guest
+    /// stack, where the runtime takes one (frees, whose pc falls in shared
+    /// allocator code), else 0. Part of [`Report::dedup_key`].
+    pub site: u64,
 }
 
 impl Report {
-    /// The key used for deduplication: class plus the reporting pc.
+    /// The key used for deduplication, by the runtime and by every fuzzing
+    /// driver alike: class, reporting pc and call-site signature.
     ///
     /// Real deployments dedup by stack hash; a single frame is the
-    /// equivalent here since guest functions are small.
-    pub fn dedup_key(&self) -> (BugClass, u32) {
-        (self.class, self.pc)
+    /// equivalent here since guest functions are small, except where the
+    /// pc falls in shared code, which the call-site signature separates.
+    pub fn dedup_key(&self) -> (BugClass, u32, u64) {
+        (self.class, self.pc, self.site)
     }
 
     /// A stable 64-bit classified signature for cross-campaign
@@ -225,6 +231,7 @@ mod tests {
                 free_pc: Some(0x1_0060),
             }),
             other: None,
+            site: 0,
         }
     }
 
@@ -246,6 +253,10 @@ mod tests {
         let mut c = sample();
         c.pc = 0x1_0104;
         assert_ne!(a.dedup_key(), c.dedup_key());
+        // Two call sites reaching the same shared free stay apart.
+        let mut d = sample();
+        d.site = 0x5EED;
+        assert_ne!(a.dedup_key(), d.dedup_key());
     }
 
     #[test]

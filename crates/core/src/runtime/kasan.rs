@@ -145,6 +145,7 @@ impl KasanEngine {
                     free_pc: Some(freed.free_pc),
                 }),
                 other: None,
+                site: 0,
             });
         }
         let Some(live) = self.live.remove(&addr) else {
@@ -157,6 +158,7 @@ impl KasanEngine {
                 cpu,
                 chunk: None,
                 other: None,
+                site: 0,
             });
         };
         shadow.poison(addr, addr + live.size.max(1), code::FREED);
@@ -213,7 +215,7 @@ impl KasanEngine {
             1..=7 => (BugClass::HeapOob, self.live_chunk_before(bad_addr)),
             _ => (BugClass::WildAccess, None),
         };
-        Report { class, addr: bad_addr, size, is_write, pc, cpu, chunk, other: None }
+        Report { class, addr: bad_addr, size, is_write, pc, cpu, chunk, other: None, site: 0 }
     }
 
     fn freed_chunk_containing(&self, addr: u32) -> Option<ChunkInfo> {

@@ -146,6 +146,7 @@ impl KcsanEngine {
                     cpu,
                     chunk: None,
                     other: Some(RaceOther { pc: slot.pc, cpu: slot.cpu, is_write: slot.is_write }),
+                    site: 0,
                 });
             }
         }
@@ -181,6 +182,7 @@ impl KcsanEngine {
                 cpu: watchpoint.cpu,
                 chunk: None,
                 other: None, // unattributed second party
+                site: 0,
             });
         }
         None

@@ -448,20 +448,6 @@ impl EmbsanRuntime {
         count
     }
 
-    /// The dedup keys accumulated so far, sorted into a canonical order for
-    /// journal serialization (`HashSet` iteration order is nondeterministic).
-    pub fn dedup_keys(&self) -> Vec<(BugClass, u32, u64)> {
-        let mut keys: Vec<_> = self.dedup.iter().copied().collect();
-        keys.sort_by_key(|&(class, pc, sig)| (class.code(), pc, sig));
-        keys
-    }
-
-    /// Re-seeds the dedup set from journal-recovered keys, so a resumed
-    /// campaign suppresses re-discoveries exactly like the original run.
-    pub fn seed_dedup(&mut self, keys: impl IntoIterator<Item = (BugClass, u32, u64)>) {
-        self.dedup.extend(keys);
-    }
-
     /// Executes a prober-compiled init routine: shadow setup, boot-time
     /// allocation replay, global registration, then activation on `ready`.
     pub fn apply_init(&mut self, init: &InitProgram) {
@@ -628,8 +614,10 @@ impl EmbsanRuntime {
         self.record_with_signature(report, 0)
     }
 
-    fn record_with_signature(&mut self, report: Report, signature: u64) -> HookAction {
-        let (class, pc) = report.dedup_key();
+    fn record_with_signature(&mut self, mut report: Report, signature: u64) -> HookAction {
+        report.site = signature;
+        let key = report.dedup_key();
+        let (class, pc, _) = key;
         // Recorded before deduplication, so the event stream stays a pure
         // function of the current execution (dedup depends on campaign
         // history). Guarded: the label allocates.
@@ -638,7 +626,7 @@ impl EmbsanRuntime {
         }
         if !self.dedup_enabled {
             self.new_reports.push(report);
-        } else if self.dedup.insert((class, pc, signature)) {
+        } else if self.dedup.insert(key) {
             self.reports.push(report.clone());
             self.new_reports.push(report);
         }
@@ -943,6 +931,7 @@ impl ExecHook for EmbsanRuntime {
                 cpu: cpu.cpu_index(),
                 chunk: None,
                 other: None,
+                site: 0,
             };
             self.record(report);
         }
@@ -1085,7 +1074,7 @@ platform test {
     }
 
     #[test]
-    fn dedup_keys_round_trip_in_canonical_order() {
+    fn reports_dedup_on_class_pc_and_call_site() {
         let merged = reference_merged().unwrap();
         let mut runtime = EmbsanRuntime::new(&merged, &platform_spec(), 1).unwrap();
         let report = |class: BugClass, pc: u32| Report {
@@ -1097,25 +1086,20 @@ platform test {
             cpu: 0,
             chunk: None,
             other: None,
+            site: 0,
         };
         runtime.record_with_signature(report(BugClass::Uaf, 0x1_0200), 7);
-        runtime.record_with_signature(report(BugClass::HeapOob, 0x1_0100), 0);
-        runtime.record_with_signature(report(BugClass::HeapOob, 0x1_0000), 0);
-        let keys = runtime.dedup_keys();
+        runtime.record_with_signature(report(BugClass::Uaf, 0x1_0200), 7);
+        runtime.record_with_signature(report(BugClass::Uaf, 0x1_0200), 8);
+        runtime.record_with_signature(report(BugClass::HeapOob, 0x1_0200), 7);
+        let keys: Vec<_> = runtime.reports().iter().map(Report::dedup_key).collect();
         assert_eq!(
             keys,
-            vec![
-                (BugClass::HeapOob, 0x1_0000, 0),
-                (BugClass::HeapOob, 0x1_0100, 0),
+            [
                 (BugClass::Uaf, 0x1_0200, 7),
+                (BugClass::Uaf, 0x1_0200, 8),
+                (BugClass::HeapOob, 0x1_0200, 7),
             ]
         );
-        // Seeding a fresh runtime suppresses re-discoveries of those bugs.
-        let mut resumed = EmbsanRuntime::new(&merged, &platform_spec(), 1).unwrap();
-        resumed.seed_dedup(keys);
-        resumed.record_with_signature(report(BugClass::Uaf, 0x1_0200), 7);
-        assert!(resumed.reports().is_empty());
-        resumed.record_with_signature(report(BugClass::Uaf, 0x1_0300), 7);
-        assert_eq!(resumed.reports().len(), 1);
     }
 }

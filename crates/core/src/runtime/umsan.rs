@@ -163,6 +163,7 @@ impl UmsanEngine {
             cpu,
             chunk,
             other: None,
+            site: 0,
         })
     }
 

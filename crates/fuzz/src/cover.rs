@@ -125,18 +125,13 @@ impl CoverageMap {
     }
 
     /// Exports this execution's classified coverage as a sparse
-    /// `(bucket index, class bit)` list. Parallel workers ship these to the
-    /// merge step instead of full 64 KiB maps; merging every export in
+    /// `(bucket index, class bit)` list, in touch order: the merge admits
+    /// these instead of full 64 KiB maps, and merging every export in
     /// iteration order via [`CoverageMap::merge_classified`] produces
     /// exactly the same global map as calling [`CoverageMap::merge_novel`]
     /// on the live maps in that order.
     pub fn classified_sparse(&self) -> Vec<(u32, u8)> {
-        // Sorted so the export is byte-identical to the historical full-map
-        // scan (ascending indices) — these lists land in deterministic
-        // artifacts.
-        let mut indices = self.touched.clone();
-        indices.sort_unstable();
-        indices.iter().map(|&index| (index, Self::classify(self.map[index as usize]))).collect()
+        self.touched.iter().map(|&i| (i, Self::classify(self.map[i as usize]))).collect()
     }
 
     /// Merges a sparse classified export (from

@@ -1,16 +1,14 @@
-//! The coverage-guided fuzzing loop with crash triage.
+//! The inline fuzzing driver and the types every driver shares.
 
 use embsan_core::report::{BugClass, Report};
 use embsan_core::session::{ExecOutcome, Session, SessionError};
-use embsan_guestos::executor::{sys, ExecProgram};
+use embsan_guestos::executor::ExecProgram;
 use embsan_obs::{MetricClass, MetricsRegistry};
 
-use crate::corpus::Corpus;
-use crate::cover::{buckets_set, CoverageMap, MAP_SIZE};
+use crate::cover::{buckets_set, CoverageMap};
 use crate::descs::SyscallDesc;
 use crate::dictionary::Dictionary;
-use crate::mutate::Mutator;
-use crate::rng::SplitMix64;
+use crate::epoch::{execute, triage_new, Admit, Campaign};
 
 /// Where execution coverage comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +64,8 @@ impl FuzzerConfig {
 /// Aggregate fuzzing statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuzzerStats {
-    /// Programs executed.
+    /// Iterations run (minimization re-executions and watchdog retries
+    /// are not counted).
     pub execs: u64,
     /// Corpus entries retained.
     pub corpus: usize,
@@ -107,30 +106,25 @@ pub struct CommitSummary {
     pub new_findings: std::ops::Range<usize>,
 }
 
-/// The complete mutable fuzzer state, exported for campaign journaling.
-///
-/// Everything that influences future iterations is here — RNG state, the
-/// corpus with its global coverage map, the deterministic-stage queue and
-/// its dedup set, findings, and the session runtime's report-dedup keys —
-/// so a killed campaign resumed from a checkpoint continues bit-identically
-/// to one that was never killed.
+/// The complete mutable fuzzer state, exported for campaign journaling:
+/// everything that influences future iterations (each iteration's RNG is a
+/// pure function of its index and the seed), so a killed campaign resumed
+/// from a checkpoint continues bit-identically to one never killed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzerState {
-    /// Raw SplitMix64 state.
-    pub rng_state: u64,
-    /// Programs executed so far.
+    /// Iterations run so far (the next iteration's index).
     pub execs: u64,
     /// Corpus programs in retention order.
     pub corpus_entries: Vec<ExecProgram>,
     /// Global classified coverage map (MAP_SIZE bytes).
     pub global_map: Vec<u8>,
-    /// Pending deterministic-stage candidates (popped from the back).
+    /// Pending dictionary-stage candidates, oldest first.
     pub det_pending: Vec<ExecProgram>,
-    /// Deterministic-stage sites already enumerated, sorted canonically.
+    /// Dictionary-stage sites already enumerated, sorted canonically.
     pub det_seen: Vec<(u8, u32, u32)>,
     /// Triaged findings so far.
     pub findings: Vec<Finding>,
-    /// Session-runtime report-dedup keys, sorted canonically.
+    /// The findings' [`Report::dedup_key`]s, sorted canonically.
     pub dedup_keys: Vec<(BugClass, u32, u64)>,
 }
 
@@ -146,65 +140,15 @@ impl FuzzerState {
     }
 }
 
-/// Triages one sanitizer report of `program` into a [`Finding`] ("all found
-/// bugs are reproducible", §4.2): greedily drops calls while the report's
-/// class still fires from the pristine snapshot, then collects the bug
-/// syscalls left in the reproducer. A pure function of the program and the
-/// report. The session's report dedup must be off, or a repeat of an
-/// already-reported bug would not show.
-///
-/// # Errors
-///
-/// Propagates session failures from the reproduction runs.
-pub fn triage(
-    session: &mut Session,
-    program: &ExecProgram,
-    report: Report,
-    budget: u64,
-) -> Result<Finding, SessionError> {
-    let mut current = program.clone();
-    let mut index = 0;
-    while current.calls.len() > 1 && index < current.calls.len() {
-        let mut candidate = current.clone();
-        candidate.calls.remove(index);
-        session.reset()?;
-        let outcome = session.run_program(&candidate, budget)?;
-        if outcome.reports.iter().any(|r| r.class == report.class) {
-            current = candidate;
-        } else {
-            index += 1;
-        }
-    }
-    let bug_syscalls =
-        current.calls.iter().map(|c| c.nr).filter(|&nr| nr >= sys::BUG_BASE).collect();
-    Ok(Finding { report, program: current, bug_syscalls })
-}
-
-/// A coverage-guided fuzzer bound to a sanitized session.
+/// A coverage-guided fuzzer bound to a sanitized session: the inline
+/// driver of the [`crate::epoch`] algorithm, one iteration per epoch, on
+/// the caller's session. [`crate::parallel::run_parallel`] with
+/// `epoch_len: 1` reports exactly what [`Fuzzer::run`] does.
 pub struct Fuzzer<'s> {
     session: &'s mut Session,
-    mutator: Mutator,
-    corpus: Corpus,
+    campaign: Campaign,
     coverage: CoverageMap,
-    rng: SplitMix64,
     config: FuzzerConfig,
-    findings: Vec<Finding>,
-    execs: u64,
-    dict_bytes: Vec<u8>,
-    /// Harvested wide operands the deterministic stage substitutes whole
-    /// (empty unless the dictionary carries an analysis harvest).
-    wide: Vec<u32>,
-    /// Syscall numbers carrying `Key` arguments (deterministic-stage focus
-    /// under the Syz strategy).
-    key_nrs: Vec<u8>,
-    /// Pending deterministic-stage candidates (expanded from newly
-    /// retained corpus entries).
-    det_pending: Vec<ExecProgram>,
-    /// Sites already enumerated by the deterministic stage, keyed by
-    /// `(syscall, argument index, current value)`: corpus entries that
-    /// differ only in coverage counts would otherwise re-expand identical
-    /// candidate sets and starve the queue.
-    det_seen: std::collections::HashSet<(u8, usize, u32)>,
 }
 
 impl std::fmt::Debug for Fuzzer<'_> {
@@ -217,7 +161,9 @@ impl<'s> Fuzzer<'s> {
     /// Creates a fuzzer over a ready session.
     ///
     /// The session must already have passed [`Session::run_to_ready`];
-    /// block-coverage probes are armed here.
+    /// coverage collection is armed here, and the runtime's report dedup is
+    /// switched off (the fuzzer dedups findings itself, on
+    /// [`Report::dedup_key`], and triage must see repeats).
     pub fn new(
         session: &'s mut Session,
         descs: Vec<SyscallDesc>,
@@ -230,48 +176,25 @@ impl<'s> Fuzzer<'s> {
                 session.machine_mut().bus_mut().devices.cov.set_enabled(true);
             }
         }
-        let dict_bytes = dict.bytes();
-        let wide = dict.wide().to_vec();
-        let key_nrs: Vec<u8> = descs
-            .iter()
-            .filter(|d| d.args.contains(&crate::descs::ArgKind::Key))
-            .map(|d| d.nr)
-            .collect();
-        Fuzzer {
-            session,
-            mutator: Mutator::new(descs, dict, config.strategy),
-            corpus: Corpus::new(),
-            coverage: CoverageMap::new(),
-            rng: SplitMix64::seed_from_u64(config.seed),
-            config,
-            findings: Vec::new(),
-            execs: 0,
-            dict_bytes,
-            wide,
-            key_nrs,
-            det_pending: Vec::new(),
-            det_seen: std::collections::HashSet::new(),
-        }
+        session.runtime_mut().dedup_enabled = false;
+        let FuzzerConfig { strategy, seed, deterministic_stage, .. } = config;
+        let campaign = Campaign::new(descs, dict, strategy, seed, deterministic_stage);
+        Fuzzer { session, campaign, coverage: CoverageMap::new(), config }
     }
 
     /// Current statistics.
     pub fn stats(&self) -> FuzzerStats {
-        FuzzerStats {
-            execs: self.execs,
-            corpus: self.corpus.len(),
-            coverage: self.corpus.coverage_buckets(),
-            findings: self.findings.len(),
-        }
+        self.campaign.stats()
     }
 
     /// The triaged findings so far.
     pub fn findings(&self) -> &[Finding] {
-        &self.findings
+        &self.campaign.findings
     }
 
     /// Consumes the fuzzer, returning its findings.
     pub fn into_findings(self) -> Vec<Finding> {
-        self.findings
+        self.campaign.findings
     }
 
     /// Runs `iterations` fuzzing iterations.
@@ -288,69 +211,18 @@ impl<'s> Fuzzer<'s> {
         Ok(())
     }
 
-    /// Chooses the next program to execute. Deterministic given the fuzzer
-    /// state: the deterministic-stage queue is drained first (AFL's
-    /// deterministic phase — bounded, systematically enumerating dictionary
-    /// bytes over the new seed's arguments), then generation vs. corpus
-    /// mutation is an RNG draw.
+    /// Starts the next iteration and returns its program: the newest
+    /// pending dictionary-stage candidate, else a program drawn from the
+    /// iteration's RNG and the corpus (see [`crate::epoch`]).
     pub fn next_program(&mut self) -> ExecProgram {
-        if let Some(candidate) = self.det_pending.pop() {
-            candidate
-        } else if self.corpus.is_empty() || self.rng.gen_bool(0.2) {
-            self.mutator.generate(&mut self.rng)
-        } else {
-            let pick = self.rng.gen_usize();
-            // Infallible: this branch is only reached when `corpus.is_empty()`
-            // was false, and nothing in between mutates the corpus.
-            let seed = self.corpus.pick(pick).expect("non-empty corpus").clone();
-            self.mutator.mutate(&seed, &mut self.rng)
-        }
+        let program = self.campaign.program(self.campaign.execs);
+        self.campaign.advance(1);
+        program
     }
 
-    /// Expands the deterministic dictionary stage for a newly retained
-    /// seed: every dictionary byte substituted into the low two byte
-    /// positions of every eligible argument. Under the Syz strategy only
-    /// `Key`-carrying syscalls are eligible (the descriptions say where
-    /// magic values live); Tardis enumerates every argument.
-    fn expand_deterministic(&mut self, seed: &ExecProgram) {
-        for (call_index, call) in seed.calls.iter().enumerate() {
-            if self.config.strategy == Strategy::Syz && !self.key_nrs.contains(&call.nr) {
-                continue;
-            }
-            for arg_index in 0..call.args.len() {
-                if !self.det_seen.insert((call.nr, arg_index, call.args[arg_index])) {
-                    continue; // this site/value was already enumerated
-                }
-                for shift in [0u32, 8] {
-                    for &byte in &self.dict_bytes {
-                        let mut candidate = seed.clone();
-                        let arg = &mut candidate.calls[call_index].args[arg_index];
-                        *arg = (*arg & !(0xFF << shift)) | (u32::from(byte) << shift);
-                        self.det_pending.push(candidate);
-                    }
-                }
-                // Harvested wide operands are substituted whole — byte-wise
-                // splicing cannot build a multi-piece constant one stage at
-                // a time because a wide gate has no intermediate stages to
-                // reward.
-                for &operand in &self.wide {
-                    let mut candidate = seed.clone();
-                    candidate.calls[call_index].args[arg_index] = operand;
-                    self.det_pending.push(candidate);
-                }
-            }
-        }
-        // Bound the queue: drop the oldest work beyond a generous cap
-        // (newest candidates are popped first — depth-first behaviour).
-        const DET_CAP: usize = 16384;
-        if self.det_pending.len() > DET_CAP {
-            let excess = self.det_pending.len() - DET_CAP;
-            self.det_pending.drain(..excess);
-        }
-    }
-
-    /// Executes one program end to end: raw run, then commit. The plain
-    /// (unsupervised) iteration step.
+    /// Runs and commits `program` ([`Fuzzer::run_raw`], [`Fuzzer::commit`]).
+    /// Outside [`Fuzzer::run`] (say, to seed the corpus) it starts no
+    /// iteration: the schedule and the iteration count stay where they are.
     ///
     /// # Errors
     ///
@@ -370,27 +242,15 @@ impl<'s> Fuzzer<'s> {
     ///
     /// Propagates session failures.
     pub fn run_raw(&mut self, program: &ExecProgram) -> Result<ExecOutcome, SessionError> {
-        self.coverage.reset();
-        self.session.reset()?;
-        // Model-free MMIO stream installation happens inside
-        // `run_program_observed` — the stream is a pure function of the
-        // program, so refinement depends only on (firmware, seed).
-        let Fuzzer { session, coverage, .. } = self;
-        let outcome =
-            session.run_program_observed(program, self.config.program_budget, coverage)?;
-        if self.config.coverage_source == CoverageSource::Guest {
-            for id in self.session.machine_mut().bus_mut().devices.cov.take_edges() {
-                self.coverage.record_id(id);
-            }
-        }
-        self.execs += 1;
-        Ok(outcome)
+        let FuzzerConfig { program_budget, coverage_source, .. } = self.config;
+        execute(self.session, &mut self.coverage, program, program_budget, coverage_source)
     }
 
-    /// Commits a [`Fuzzer::run_raw`] outcome: corpus novelty gating,
-    /// deterministic-stage expansion, and crash triage with minimization.
-    /// Returns whether the program was retained and how many findings it
-    /// produced (so a supervisor can journal both).
+    /// Commits a [`Fuzzer::run_raw`] outcome: triage of the reports not
+    /// seen before, then the one-iteration merge (corpus novelty gating,
+    /// finding dedup, dictionary-stage expansion). Returns whether the
+    /// program was retained and which findings it produced (so a supervisor
+    /// can journal both).
     ///
     /// # Errors
     ///
@@ -400,21 +260,11 @@ impl<'s> Fuzzer<'s> {
         program: &ExecProgram,
         outcome: ExecOutcome,
     ) -> Result<CommitSummary, SessionError> {
-        let retained = self.corpus.add_if_novel(program, &self.coverage);
-        if retained && self.config.deterministic_stage {
-            self.expand_deterministic(program);
-        }
-        let first_finding = self.findings.len();
-        let (session, budget) = (&mut *self.session, self.config.program_budget);
-        let dedup = std::mem::replace(&mut session.runtime_mut().dedup_enabled, false);
-        let triaged: Result<Vec<Finding>, SessionError> = outcome
-            .reports
-            .into_iter()
-            .map(|report| triage(session, program, report, budget))
-            .collect();
-        session.runtime_mut().dedup_enabled = dedup;
-        self.findings.extend(triaged?);
-        Ok(CommitSummary { retained, new_findings: first_finding..self.findings.len() })
+        let budget = self.config.program_budget;
+        let findings =
+            triage_new(self.session, program, outcome.reports, budget, &self.campaign.seen)?;
+        let cover = &self.coverage.classified_sparse();
+        Ok(self.campaign.merge([Admit { program, cover, findings }]))
     }
 
     /// The session driving this fuzzer (supervisors need machine access for
@@ -424,51 +274,23 @@ impl<'s> Fuzzer<'s> {
     }
 
     /// Removes every copy of `program` from the corpus and the
-    /// deterministic-stage queue (input quarantine: the input repeatedly
+    /// dictionary-stage candidates (input quarantine: the input repeatedly
     /// wedged the guest, so it must never be scheduled or mutated again).
     /// The coverage it contributed stays — the coverage was real.
     pub fn quarantine(&mut self, program: &ExecProgram) {
-        self.corpus.retain(|entry| entry != program);
-        self.det_pending.retain(|entry| entry != program);
+        self.campaign.quarantine(program);
     }
 
     /// Exports the complete mutable fuzzer state for journaling. Together
     /// with a deterministically rebuilt session, importing this state
     /// resumes the campaign bit-identically.
     pub fn export_state(&self) -> FuzzerState {
-        let mut det_seen: Vec<(u8, u32, u32)> =
-            self.det_seen.iter().map(|&(nr, idx, val)| (nr, idx as u32, val)).collect();
-        det_seen.sort_unstable();
-        FuzzerState {
-            rng_state: self.rng.state(),
-            execs: self.execs,
-            corpus_entries: self.corpus.entries().to_vec(),
-            global_map: self.corpus.global_map().to_vec(),
-            det_pending: self.det_pending.clone(),
-            det_seen,
-            findings: self.findings.clone(),
-            dedup_keys: self.session.runtime().dedup_keys(),
-        }
+        self.campaign.export()
     }
 
-    /// Restores state exported by [`Fuzzer::export_state`], including
-    /// re-seeding the session runtime's report deduplication.
-    ///
-    /// Silently ignores a wrong-sized coverage map (it only costs novelty
-    /// precision, never correctness).
+    /// Restores state exported by [`Fuzzer::export_state`].
     pub fn import_state(&mut self, state: FuzzerState) {
-        self.rng = SplitMix64::seed_from_u64(state.rng_state);
-        self.execs = state.execs;
-        let mut global = Box::new([0u8; MAP_SIZE]);
-        if state.global_map.len() == MAP_SIZE {
-            global.copy_from_slice(&state.global_map);
-        }
-        self.corpus = Corpus::from_parts(state.corpus_entries, global);
-        self.det_pending = state.det_pending;
-        self.det_seen =
-            state.det_seen.into_iter().map(|(nr, idx, val)| (nr, idx as usize, val)).collect();
-        self.findings = state.findings;
-        self.session.runtime_mut().seed_dedup(state.dedup_keys);
+        self.campaign.import(state);
     }
 }
 
@@ -480,6 +302,7 @@ mod tests {
     use embsan_core::report::BugClass;
     use embsan_emu::profile::Arch;
     use embsan_guestos::bugs::{BugKind, BugSpec};
+    use embsan_guestos::executor::sys;
     use embsan_guestos::{os, BuildOptions, SanMode};
 
     fn ready_session(bugs: &[BugSpec]) -> (Session, embsan_asm::FirmwareImage) {
@@ -593,7 +416,7 @@ mod tests {
             let config = FuzzerConfig::new(Strategy::Tardis, 7);
             let mut fuzzer = Fuzzer::new(&mut session, descs_with_bugs(1), dict, config);
             fuzzer.run(300).unwrap();
-            (fuzzer.stats(), fuzzer.corpus.coverage_buckets())
+            (fuzzer.stats(), fuzzer.campaign.corpus.clone())
         };
         assert_eq!(run(), run());
     }

@@ -32,8 +32,11 @@ use crate::fuzzer::{Finding, FuzzerState, Strategy};
 /// base-image hash changed function (`embsan_emu::hash::fold` in place of
 /// FNV-1a), so every journaled `base_hash` changed value; the wire format
 /// did not. `5`: the base-image hash folds only the pages holding data, so
-/// every journaled `base_hash` changed value again; same wire format.)
-pub const MAGIC: &[u8; 8] = b"EMBSANJ5";
+/// every journaled `base_hash` changed value again; same wire format. `6`:
+/// reports carry their call-site signature, and checkpoints no longer
+/// carry an RNG state — each iteration's RNG is a function of the seed and
+/// the iteration count.)
+pub const MAGIC: &[u8; 8] = b"EMBSANJ6";
 
 /// Journal failures.
 #[derive(Debug)]
@@ -462,6 +465,7 @@ fn enc_report(enc: &mut Enc, report: &Report) {
             enc.u8(u8::from(other.is_write));
         }
     }
+    enc.u64(report.site);
 }
 
 fn dec_report(dec: &mut Dec<'_>) -> DecResult<Report> {
@@ -485,7 +489,7 @@ fn dec_report(dec: &mut Dec<'_>) -> DecResult<Report> {
     } else {
         None
     };
-    Ok(Report { class, addr, size, is_write, pc, cpu, chunk, other })
+    Ok(Report { class, addr, size, is_write, pc, cpu, chunk, other, site: dec.u64()? })
 }
 
 fn enc_finding(enc: &mut Enc, finding: &Finding) {
@@ -535,7 +539,6 @@ fn dec_rle(dec: &mut Dec<'_>) -> DecResult<Vec<u8>> {
 }
 
 fn enc_fuzzer_state(enc: &mut Enc, state: &FuzzerState) {
-    enc.u64(state.rng_state);
     enc.u64(state.execs);
     enc.u32(state.corpus_entries.len() as u32);
     for program in &state.corpus_entries {
@@ -565,7 +568,6 @@ fn enc_fuzzer_state(enc: &mut Enc, state: &FuzzerState) {
 }
 
 fn dec_fuzzer_state(dec: &mut Dec<'_>) -> DecResult<FuzzerState> {
-    let rng_state = dec.u64()?;
     let execs = dec.u64()?;
     let mut corpus_entries = Vec::new();
     for _ in 0..dec.u32()? {
@@ -591,7 +593,6 @@ fn dec_fuzzer_state(dec: &mut Dec<'_>) -> DecResult<FuzzerState> {
         dedup_keys.push((class, dec.u32()?, dec.u64()?));
     }
     Ok(FuzzerState {
-        rng_state,
         execs,
         corpus_entries,
         global_map,
@@ -929,6 +930,7 @@ mod tests {
                     free_pc: Some(0x1_0060),
                 }),
                 other: Some(RaceOther { pc: 0x1_0200, cpu: 0, is_write: false }),
+                site: 0xCAFE_F00D,
             },
             program: sample_program(),
             bug_syscalls: vec![16],
@@ -940,7 +942,6 @@ mod tests {
         global_map[7] = 3;
         global_map[4096] = 129;
         FuzzerState {
-            rng_state: 0xDEAD_BEEF_CAFE_F00D,
             execs: 1234,
             corpus_entries: vec![sample_program()],
             global_map,
@@ -1110,7 +1111,7 @@ mod tests {
         let Err(JournalError::Corrupt { offset: 0, message }) = Journal::load(&path) else {
             panic!("an EMBSANJ3 journal must not load");
         };
-        assert_eq!(message, "journal version 3 found, this build reads version 5");
+        assert_eq!(message, "journal version 3 found, this build reads version 6");
         std::fs::write(&path, b"EMBSANJ").unwrap();
         let Err(JournalError::Corrupt { message, .. }) = Journal::load(&path) else {
             panic!("a cut magic must not load");
@@ -1128,7 +1129,20 @@ mod tests {
         let Err(JournalError::Corrupt { offset: 0, message }) = Journal::load(&path) else {
             panic!("an EMBSANJ4 journal must not load");
         };
-        assert_eq!(message, "journal version 4 found, this build reads version 5");
+        assert_eq!(message, "journal version 4 found, this build reads version 6");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_version_5_journal_is_refused_by_name() {
+        let dir = std::env::temp_dir().join(format!("embsan-journal-v5-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v5.journal");
+        std::fs::write(&path, b"EMBSANJ5").unwrap();
+        let Err(JournalError::Corrupt { offset: 0, message }) = Journal::load(&path) else {
+            panic!("an EMBSANJ5 journal must not load");
+        };
+        assert_eq!(message, "journal version 5 found, this build reads version 6");
         std::fs::remove_dir_all(&dir).ok();
     }
 

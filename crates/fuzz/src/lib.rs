@@ -11,11 +11,13 @@
 //!   events rather than any in-guest instrumentation, matching Tardis's
 //!   emulator-side coverage mechanism.
 //!
-//! Both share AFL-style edge [`cover`]age, a [`corpus`] with
-//! novelty-gating, a [`dictionary`] of immediate constants extracted from
-//! the firmware binary (the classic binary-dictionary trick), crash triage
-//! with program minimization, and a deterministic seeded [`campaign`]
-//! driver used by the Table 3/4 benches.
+//! Both run one algorithm ([`epoch`]): AFL-style edge [`cover`]age, a
+//! corpus with novelty-gating, a [`dictionary`] of immediate constants
+//! extracted from the firmware binary (the classic binary-dictionary
+//! trick) with its deterministic stage scheduled over iteration indices,
+//! and crash triage with program minimization. Two drivers run it: the
+//! inline [`Fuzzer`] and the threaded [`run_parallel`]. A deterministic
+//! seeded [`campaign`] driver serves the Table 3/4 benches.
 //!
 //! Loading an `embsan-analysis-v2` artifact upgrades either strategy to a
 //! **directed** campaign: its harvested wide comparison operands join the
@@ -25,10 +27,10 @@
 //! extracted one.
 
 pub mod campaign;
-pub mod corpus;
 pub mod cover;
 pub mod descs;
 pub mod dictionary;
+pub mod epoch;
 pub mod fuzzer;
 pub mod journal;
 pub mod mutate;
@@ -39,7 +41,6 @@ pub mod supervisor;
 pub use campaign::{
     run_campaign, CampaignConfig, CampaignError, CampaignErrorKind, CampaignResult, FoundBug,
 };
-pub use corpus::Corpus;
 pub use cover::CoverageMap;
 pub use descs::{descriptions_for, ArgKind, SyscallDesc};
 pub use dictionary::Dictionary;

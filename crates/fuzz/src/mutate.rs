@@ -233,11 +233,11 @@ mod tests {
         let mut b = SplitMix64::seed_from_u64(99);
         let base = plain.generate(&mut a);
         loaded.generate(&mut b);
-        assert_eq!(a.state(), b.state(), "RNG streams diverged");
+        assert_eq!(a, b, "RNG streams diverged");
         for _ in 0..200 {
             plain.mutate(&base, &mut a);
             loaded.mutate(&base, &mut b);
-            assert_eq!(a.state(), b.state(), "RNG streams diverged");
+            assert_eq!(a, b, "RNG streams diverged");
         }
     }
 

@@ -1,53 +1,22 @@
-//! Parallel sharded campaign engine with deterministic merges.
+//! The threaded driver of the [`crate::epoch`] algorithm, with
+//! deterministic merges.
 //!
 //! The paper's pitch (§5) is that emulator-level interception is *cheap*;
 //! this module supplies the other throughput lever: host-native parallel
-//! execution. N workers each own a full `Machine` + [`Session`] (the
-//! translation cache's `Rc` blocks make a session thread-affine, so every
+//! execution. N workers each own a full `Machine` + [`Session`] (every
 //! worker builds its own from the same deterministic recipe) and pull
-//! iteration chunks from a work-stealing scheduler. The workers share one
-//! copy-on-write ready-point base image ([`share_base`]).
-//!
-//! What this engine adds to the sequential [`crate::fuzzer::Fuzzer`] is
-//! only its schedule: epochs, a per-iteration RNG and the canonical merge.
-//! Everything else is the sequential engine's: crash triage
-//! ([`crate::fuzzer::triage`]), the coverage-gated [`Corpus`] and the
-//! [`Mutator`].
-//!
-//! # Determinism argument
-//!
-//! An N-worker run reports the *same finding set, corpus and coverage* as
-//! the 1-worker run because nothing an iteration computes depends on which
-//! worker ran it or when:
-//!
-//! 1. The iteration space `0..iterations` is split into fixed *epochs* of
-//!    [`ParallelConfig::epoch_len`] iterations. Workers claim chunks within
-//!    the current epoch only.
-//! 2. Iteration `i` derives its RNG purely from `(campaign seed, i)` and
-//!    picks its input from the *corpus snapshot at the epoch boundary* — an
-//!    immutable `Arc` swapped only between epochs.
-//! 3. Guest execution is deterministic: each run starts from the pristine
-//!    ready-state snapshot ([`Session::reset`]), so an iteration's outcome
-//!    (coverage, reports, minimized reproducer) is a pure function of its
-//!    program.
-//! 4. At the epoch barrier one worker merges all results *sorted by
-//!    iteration index*: coverage novelty, corpus admission and finding
-//!    dedup (by [`embsan_core::report::Report::dedup_key`]) are evaluated
-//!    in that canonical order, exactly as a single worker walking the epoch
-//!    sequentially would.
-//!
-//! The parallel engine deliberately has no deterministic dictionary stage
-//! (that queue is inherently sequential state); the sequential
-//! [`crate::fuzzer::Fuzzer`] and the journaled supervised path remain the
-//! bit-identical single-thread engines.
+//! iteration chunks of the current epoch from a work-stealing scheduler.
+//! The workers share one copy-on-write ready-point base image
+//! ([`share_base`]). At the epoch barrier one worker runs the canonical
+//! merge ([`Campaign::merge`]) over all results sorted by iteration index,
+//! so an N-worker run reports the *same finding set, corpus and coverage*
+//! as the 1-worker run (the argument is in [`crate::epoch`]).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use embsan_core::report::BugClass;
-use embsan_core::session::{BaseImage, Session, SessionError};
+use embsan_core::session::{BaseImage, Session};
 use embsan_emu::CacheStats;
 use embsan_guestos::executor::ExecProgram;
 use embsan_guestos::FirmwareSpec;
@@ -60,17 +29,11 @@ use crate::campaign::{
     attribute_findings, paper_strategy, prepare_session, share_base, CampaignConfig, CampaignError,
     CampaignResult,
 };
-use crate::corpus::Corpus;
 use crate::cover::CoverageMap;
 use crate::descs::{descriptions_for, SyscallDesc};
 use crate::dictionary::Dictionary;
-use crate::fuzzer::{triage, Finding, FuzzerStats, Strategy};
-use crate::mutate::Mutator;
-use crate::rng::SplitMix64;
-
-/// Golden-ratio increment used to decorrelate per-iteration seeds (the
-/// SplitMix64 stream constant).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+use crate::epoch::{execute, triage_new, Admit, Campaign};
+use crate::fuzzer::{CoverageSource, Finding, FuzzerStats, Strategy};
 
 /// Iterations claimed per scheduler grab (work-stealing granularity).
 /// Results do not depend on it.
@@ -79,7 +42,7 @@ const CHUNK: u64 = 8;
 /// Parallel engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelConfig {
-    /// Worker count (1 runs the same algorithm on one thread).
+    /// Worker threads.
     pub workers: usize,
     /// Iterations per epoch (merge/snapshot period). Smaller epochs adopt
     /// novel inputs sooner; larger epochs synchronize less. Has no effect
@@ -224,12 +187,10 @@ struct IterResult {
     events: Vec<Event>,
 }
 
-/// Merge-side state, owned by whichever worker leads each epoch barrier.
+/// The campaign state: read by every worker during an epoch, written only
+/// by the epoch leader's merge while the others wait at the barrier.
 struct MergeState {
-    corpus: Corpus,
-    findings: Vec<Finding>,
-    seen: HashSet<(BugClass, u32)>,
-    execs: u64,
+    campaign: Campaign,
     epochs: u64,
     /// Merged event trace in canonical iteration order (when tracing).
     trace: Option<MergedTrace>,
@@ -243,12 +204,9 @@ struct Shared {
     next_iter: AtomicU64,
     /// One past the last iteration of the current epoch.
     epoch_end: AtomicU64,
-    /// Immutable corpus snapshot workers draw from this epoch: the merge's
-    /// [`Corpus`] programs, copied out without its coverage map.
-    snapshot: Mutex<Arc<Vec<ExecProgram>>>,
     /// Completed iterations awaiting the canonical merge.
     results: Mutex<Vec<IterResult>>,
-    merge: Mutex<MergeState>,
+    merge: RwLock<MergeState>,
     error: Mutex<Option<CampaignError>>,
     barrier: Barrier,
     fuzz_start: Mutex<Option<Instant>>,
@@ -278,53 +236,26 @@ struct WorkerExit {
     shares_base: bool,
 }
 
-/// The RNG for iteration `iter`: a pure function of the campaign seed and
-/// the iteration index, independent of scheduling.
-fn iter_rng(seed: u64, iter: u64) -> SplitMix64 {
-    let mut mix = SplitMix64::seed_from_u64(seed ^ (iter + 1).wrapping_mul(GOLDEN));
-    SplitMix64::seed_from_u64(mix.next_u64())
-}
-
-/// Derives iteration `iter`'s program from the epoch's corpus snapshot.
-fn derive_program(
-    mutator: &Mutator,
-    snapshot: &[ExecProgram],
-    config: &ParallelConfig,
-    iter: u64,
-) -> ExecProgram {
-    let mut rng = iter_rng(config.campaign.seed, iter);
-    if snapshot.is_empty() || rng.gen_bool(0.2) {
-        mutator.generate(&mut rng)
-    } else {
-        let pick = rng.gen_usize() % snapshot.len();
-        mutator.mutate(&snapshot[pick], &mut rng)
-    }
-}
-
-/// Executes iteration `iter` end to end on a worker's private session
-/// (report dedup off: every occurrence reaches triage and the merge).
+/// Runs iteration `iter` of the current epoch of `state` on a worker's
+/// session: the [`crate::epoch`] step, with the coverage exported for the
+/// merge.
 fn run_iteration(
     session: &mut Session,
     coverage: &mut CoverageMap,
-    mutator: &Mutator,
-    snapshot: &[ExecProgram],
+    state: &MergeState,
     config: &ParallelConfig,
     iter: u64,
-) -> Result<IterResult, SessionError> {
+) -> Result<IterResult, CampaignError> {
     // Rebasing against the iteration-start clock makes the span a pure
-    // function of (snapshot state, program): the lifetime clock itself is
+    // function of (epoch-start state, program): the lifetime clock itself is
     // monotonic across the worker's whole schedule.
     let mark = session.trace_mark();
-    let program = derive_program(mutator, snapshot, config, iter);
-    coverage.reset();
-    session.reset()?;
+    let campaign = &state.campaign;
+    let program = campaign.program(iter);
     let budget = config.campaign.program_budget;
-    let outcome = session.run_program_observed(&program, budget, coverage)?;
-    let findings = outcome
-        .reports
-        .into_iter()
-        .map(|report| triage(session, &program, report, budget))
-        .collect::<Result<_, _>>()?;
+    let findings = execute(session, coverage, &program, budget, CoverageSource::Emulator)
+        .and_then(|outcome| triage_new(session, &program, outcome.reports, budget, &campaign.seen))
+        .map_err(|e| CampaignError::from(e).context(iter, &program))?;
     let events = session.drain_trace(mark);
     Ok(IterResult { iter, program, cover: coverage.classified_sparse(), findings, events })
 }
@@ -335,53 +266,50 @@ fn run_iteration(
 fn merge_epoch(shared: &Shared, config: &ParallelConfig) {
     let mut results = std::mem::take(&mut *shared.results.lock().unwrap());
     results.sort_unstable_by_key(|r| r.iter);
-    let mut state = shared.merge.lock().unwrap();
-    let state = &mut *state;
-    for result in results {
-        state.execs += 1;
-        state.corpus.add_if_novel_sparse(result.program, &result.cover);
-        for finding in result.findings {
-            if state.seen.insert(finding.report.dedup_key()) {
-                state.findings.push(finding);
-            }
-        }
-        if let Some(trace) = &mut state.trace {
-            trace.push_span(TraceSpan { iter: result.iter, events: result.events });
-        }
-    }
-    state.epochs += 1;
+    let mut state = shared.merge.write().unwrap();
+    let MergeState { campaign, epochs, trace } = &mut *state;
     let done = shared.epoch_end.load(Ordering::SeqCst);
-    if let Some(trace) = &mut state.trace {
+    // The epoch ran every candidate the schedule gave it.
+    campaign.advance(done - campaign.execs);
+    campaign.merge(results.iter_mut().map(|result| {
+        if let Some(trace) = trace.as_mut() {
+            let events = std::mem::take(&mut result.events);
+            trace.push_span(TraceSpan { iter: result.iter, events });
+        }
+        let findings = std::mem::take(&mut result.findings);
+        let result = &*result;
+        Admit { program: &result.program, cover: &result.cover, findings }
+    }));
+    *epochs += 1;
+    if let Some(trace) = trace {
         // Record the canonical post-merge totals as a scheduler event. The
         // span is tagged with the epoch-end boundary, which totally orders
         // it after every iteration it merged.
+        let FuzzerStats { execs, corpus, coverage, findings } = campaign.stats();
         let merge = EventKind::EpochMerge {
-            epoch: state.epochs,
-            execs: state.execs,
-            corpus: state.corpus.len() as u64,
-            findings: state.findings.len() as u64,
-            coverage: state.corpus.coverage_buckets() as u64,
+            epoch: *epochs,
+            execs,
+            corpus: corpus as u64,
+            findings: findings as u64,
+            coverage: coverage as u64,
         };
         trace.push_span(TraceSpan {
             iter: done,
             events: vec![Event { clock: 0, seq: 0, kind: merge }],
         });
     }
-    *shared.snapshot.lock().unwrap() = Arc::new(state.corpus.entries().to_vec());
     let failed = shared.error.lock().unwrap().is_some();
     if failed || done >= config.campaign.iterations {
         shared.stop.store(true, Ordering::SeqCst);
     } else {
+        let end = (done + config.epoch_len).min(config.campaign.iterations);
         shared.next_iter.store(done, Ordering::SeqCst);
-        shared
-            .epoch_end
-            .store((done + config.epoch_len).min(config.campaign.iterations), Ordering::SeqCst);
+        shared.epoch_end.store(end, Ordering::SeqCst);
     }
 }
 
-/// Brings up worker `worker`'s session: canonical dedup happens at merge
-/// time, so the runtime must report every occurrence, or finding sets
-/// would depend on which worker saw a bug first. Returns the session and
+/// Brings up worker `worker`'s session: findings dedup in the merge, so
+/// the runtime must report every occurrence. Returns the session and
 /// whether it runs on the shared base image.
 fn worker_session<F>(
     worker: usize,
@@ -407,14 +335,9 @@ where
     Ok((session, shares_base))
 }
 
-/// One worker thread: claim chunks, execute, publish, synchronize.
-fn worker_loop<F>(
-    worker: usize,
-    factory: &F,
-    mutator: &Mutator,
-    config: &ParallelConfig,
-    shared: &Shared,
-) where
+/// One worker: claim chunks, execute, publish, synchronize.
+fn worker_loop<F>(worker: usize, factory: &F, config: &ParallelConfig, shared: &Shared)
+where
     F: Fn(usize) -> Result<Session, CampaignError> + Sync,
 {
     let (mut session, shares_base) = match worker_session(worker, factory, config, shared) {
@@ -435,25 +358,22 @@ fn worker_loop<F>(
     }
     loop {
         let end = shared.epoch_end.load(Ordering::SeqCst);
-        let snapshot = Arc::clone(&shared.snapshot.lock().unwrap());
         let mut batch = Vec::new();
         if let Some(session) = session.as_mut() {
+            let state = shared.merge.read().unwrap();
             'claim: while !shared.stop.load(Ordering::Relaxed) {
                 let start = shared.next_iter.fetch_add(CHUNK, Ordering::SeqCst);
                 if start >= end {
                     break;
                 }
                 for iter in start..(start + CHUNK).min(end) {
-                    match run_iteration(session, &mut coverage, mutator, &snapshot, config, iter) {
+                    match run_iteration(session, &mut coverage, &state, config, iter) {
                         Ok(result) => {
                             peak_overlay = peak_overlay.max(session.overlay_bytes());
                             batch.push(result);
                         }
                         Err(e) => {
-                            // Re-derive the failing program (pure function
-                            // of seed and iteration) for the error context.
-                            let program = derive_program(mutator, &snapshot, config, iter);
-                            shared.fail(CampaignError::from(e).context(iter, &program));
+                            shared.fail(e);
                             break 'claim;
                         }
                     }
@@ -488,8 +408,8 @@ fn worker_loop<F>(
 /// ([`Dictionary::with_wide`]).
 ///
 /// `factory(worker_index)` must return a *ready* session (already past
-/// `run_to_ready`); it is called once per worker, on that worker's thread,
-/// because sessions are thread-affine. Every worker must get an
+/// `run_to_ready`); it is called once per worker, on that worker's thread
+/// Every worker must get an
 /// identically-behaving session (same firmware, same configuration) or the
 /// determinism contract is void.
 ///
@@ -514,18 +434,15 @@ where
 {
     assert!(config.workers > 0, "need at least one worker");
     assert!(config.epoch_len > 0, "need at least one iteration per epoch");
-    let mutator = Mutator::new(descs.to_vec(), dict.clone(), strategy);
+    let campaign =
+        Campaign::new(descs.to_vec(), dict.clone(), strategy, config.campaign.seed, true);
     let shared = Shared {
         stop: AtomicBool::new(config.campaign.iterations == 0),
         next_iter: AtomicU64::new(0),
         epoch_end: AtomicU64::new(config.epoch_len.min(config.campaign.iterations)),
-        snapshot: Mutex::new(Arc::new(Vec::new())),
         results: Mutex::new(Vec::new()),
-        merge: Mutex::new(MergeState {
-            corpus: Corpus::new(),
-            findings: Vec::new(),
-            seen: HashSet::new(),
-            execs: 0,
+        merge: RwLock::new(MergeState {
+            campaign,
             epochs: 0,
             trace: config.trace.then(MergedTrace::default),
         }),
@@ -538,8 +455,8 @@ where
 
     std::thread::scope(|scope| {
         for worker in 0..config.workers {
-            let (shared, factory, mutator) = (&shared, &factory, &mutator);
-            scope.spawn(move || worker_loop(worker, factory, mutator, config, shared));
+            let (shared, factory) = (&shared, &factory);
+            scope.spawn(move || worker_loop(worker, factory, config, shared));
         }
     });
 
@@ -550,14 +467,15 @@ where
         shared.fuzz_start.lock().unwrap().map(|start| start.elapsed()).unwrap_or_default();
     let workers = shared.worker_stats.into_inner().unwrap();
     let max = |field: fn(&WorkerExit) -> u64| workers.iter().map(field).max().unwrap_or(0);
-    let state = shared.merge.into_inner().unwrap();
+    let MergeState { campaign, epochs, trace } = shared.merge.into_inner().unwrap();
+    let FuzzerStats { execs, corpus, coverage, findings } = campaign.stats();
     let stats = ParallelStats {
         workers: config.workers,
-        execs: state.execs,
-        corpus: state.corpus.len(),
-        coverage: state.corpus.coverage_buckets(),
-        findings: state.findings.len(),
-        epochs: state.epochs,
+        execs,
+        corpus,
+        coverage,
+        findings,
+        epochs,
         fuzz_wall,
         cache: workers.iter().fold(CacheStats::default(), |cache, w| cache.merged(w.cache)),
         slow_path_checks: workers.iter().map(|w| w.slow_path_checks).sum(),
@@ -566,12 +484,7 @@ where
         max_worker_overlay_bytes: max(|w| w.peak_overlay_bytes),
         workers_sharing_base: workers.iter().filter(|w| w.shares_base).count(),
     };
-    Ok(ParallelOutcome {
-        findings: state.findings,
-        corpus: state.corpus.entries().to_vec(),
-        stats,
-        trace: state.trace,
-    })
+    Ok(ParallelOutcome { findings: campaign.findings, corpus: campaign.corpus, stats, trace })
 }
 
 /// Runs the parallel engine for one firmware in its Table-1 configuration
@@ -605,7 +518,14 @@ pub fn run_parallel_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embsan_guestos::firmware_by_name;
+    use crate::campaign::boot_session;
+    use crate::descs::{base_descriptions, ArgKind};
+    use embsan_core::probe::{probe, ProbeMode};
+    use embsan_core::report::BugClass;
+    use embsan_emu::profile::Arch;
+    use embsan_guestos::bugs::{BugKind, BugSpec};
+    use embsan_guestos::executor::sys;
+    use embsan_guestos::{firmware_by_name, os, BuildOptions, SanMode};
 
     fn small_config(workers: usize, iterations: u64) -> ParallelConfig {
         ParallelConfig {
@@ -662,13 +582,31 @@ mod tests {
         assert_eq!(merges as u64, traced.1.stats.epochs);
     }
 
+    /// The dictionary stage runs on every driver: two workers at the
+    /// default epoch find the staged magic-gated bug that blind generation
+    /// cannot hit (the threaded twin of the inline driver's
+    /// `fuzzer_finds_gated_bug_with_dictionary`).
     #[test]
-    fn iteration_rng_is_schedule_independent() {
-        // Same (seed, iter) → same stream regardless of anything else.
-        let mut a = iter_rng(42, 7);
-        let mut b = iter_rng(42, 7);
-        assert_eq!(a.next_u64(), b.next_u64());
-        let mut c = iter_rng(42, 8);
-        assert_ne!(iter_rng(42, 7).next_u64(), c.next_u64());
+    fn two_workers_find_gated_bug_with_dictionary() {
+        let bug = BugSpec::new("fuzz/target", BugKind::OobWrite);
+        let opts = BuildOptions::new(Arch::Armv).san(SanMode::SanCall);
+        let image = os::emblinux::build(&opts, &[bug]).unwrap();
+        let artifacts = probe(&image, ProbeMode::CompileTime, None).unwrap();
+        let mut descs = base_descriptions();
+        descs.push(SyscallDesc { nr: sys::BUG_BASE, args: vec![ArgKind::Key] });
+        let config = ParallelConfig {
+            workers: 2,
+            epoch_len: 64,
+            campaign: CampaignConfig { iterations: 15_000, seed: 42, ..CampaignConfig::default() },
+            ..ParallelConfig::default()
+        };
+        let factory = |_worker: usize| boot_session(&image, &artifacts, 1, &config.campaign);
+        let dict = Dictionary::extract(&image);
+        let outcome = run_parallel(factory, &descs, &dict, Strategy::Syz, &config).unwrap();
+        let finding = outcome.findings.first().unwrap_or_else(|| panic!("{:?}", outcome.stats));
+        assert_eq!(finding.report.class, BugClass::HeapOob);
+        // Triage minimized the reproducer down to the trigger call.
+        assert_eq!(finding.program.calls.len(), 1);
+        assert_eq!(finding.bug_syscalls, vec![sys::BUG_BASE]);
     }
 }

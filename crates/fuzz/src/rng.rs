@@ -8,6 +8,9 @@
 //! seed is a documented fuzzer property, so the generator lives here where
 //! its output can never change underneath us.
 
+/// The SplitMix64 stream increment (the golden ratio).
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 generator. Copyable so runs can be forked deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -22,15 +25,9 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// Raw generator state, for checkpointing:
-    /// `seed_from_u64(rng.state())` recreates the generator exactly.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GOLDEN);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -24,12 +24,12 @@
 //!   checkpoints carry the complete mutable state ([`FuzzerState`]) and the
 //!   per-program session reset makes iteration replay exact.
 //!
-//! The supervised path is deliberately **single-threaded**: the journal's
-//! bit-identical-replay guarantee is defined over the sequential iteration
-//! order. Parallel throughput lives in [`crate::parallel`], whose engine is
-//! deterministic across worker counts but journals nothing; the CLI's
-//! `--workers` flag therefore falls back to one thread whenever a journal,
-//! fault plan or kill-after drill is requested.
+//! The supervised path drives the inline [`Fuzzer`], one iteration per
+//! epoch: the journal's bit-identical-replay guarantee is defined over
+//! that iteration order. [`crate::parallel`] runs the same algorithm on N
+//! workers but journals nothing; the CLI's `--workers` and `--epoch` flags
+//! therefore fall back to one thread at epoch 1 whenever a journal, fault
+//! plan or kill-after drill is requested.
 //!
 //! [`Machine::classify_hang`]: embsan_emu::machine::Machine::classify_hang
 

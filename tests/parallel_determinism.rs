@@ -3,8 +3,10 @@
 //! contract that makes `--workers` safe to use for real campaigns (any
 //! scheduling dependence would make parallel results unreproducible).
 
-use embsan::fuzz::campaign::CampaignConfig;
+use embsan::fuzz::campaign::{paper_strategy, prepare_session, CampaignConfig};
 use embsan::fuzz::parallel::{run_parallel_campaign, ParallelConfig, ParallelOutcome};
+use embsan::fuzz::{descriptions_for, Fuzzer, FuzzerConfig, Strategy};
+use embsan::guestos::bugs::LATENT_BUGS;
 use embsan::guestos::executor::ExecProgram;
 use embsan::guestos::firmware_by_name;
 
@@ -142,4 +144,51 @@ fn worker_overlay_stays_a_tenth_of_the_shared_base() {
         );
         assert_eq!(stats.workers_sharing_base, workers, "workers forked from the base");
     }
+}
+
+/// One algorithm: the inline `Fuzzer` is the epoch engine at one iteration
+/// per epoch. `Fuzzer::run(n)` and `run_parallel` at `epoch_len: 1`, on 1
+/// and 2 workers, report the same findings (minimized reproducers
+/// included), corpus and coverage — on a Syz and a Tardis firmware.
+#[test]
+fn fuzzer_is_the_epoch_engine_at_one_iteration_per_epoch() {
+    for (firmware, strategy) in
+        [("OpenWRT-armvirt", Strategy::Syz), ("TP-Link WDR-7660", Strategy::Tardis)]
+    {
+        let spec = firmware_by_name(firmware).unwrap();
+        assert_eq!(paper_strategy(spec), strategy, "{firmware}");
+        let campaign = CampaignConfig { iterations: 400, seed: 17, ..CampaignConfig::default() };
+        let (mut session, dict) = prepare_session(spec, &campaign).unwrap();
+        let mut fuzzer_config = FuzzerConfig::new(strategy, campaign.seed);
+        fuzzer_config.program_budget = campaign.program_budget;
+        let mut fuzzer = Fuzzer::new(&mut session, descriptions_for(spec), dict, fuzzer_config);
+        fuzzer.run(campaign.iterations).unwrap();
+        let state = fuzzer.export_state();
+        assert!(state.corpus_entries.len() > 1, "{firmware}: corpus too small to compare");
+        for workers in [1, 2] {
+            let config = ParallelConfig { workers, epoch_len: 1, campaign, trace: false };
+            let (_, outcome) = run_parallel_campaign(spec, &config).unwrap();
+            assert_eq!(outcome.findings, state.findings, "{firmware} x{workers}: findings");
+            assert_eq!(outcome.corpus, state.corpus_entries, "{firmware} x{workers}: corpus");
+            assert_eq!(outcome.stats.fuzzer_stats(), state.stats(), "{firmware} x{workers}");
+        }
+    }
+}
+
+/// One dedup key: OpenWRT-mt7629's two double frees (Table-4 rows 18 and
+/// 19) both report at the shared `__san_free` pc and differ only in their
+/// call-site signature. A 2-worker Table-3 campaign keeps both.
+#[test]
+fn both_shared_pc_double_frees_survive_the_merge() {
+    let spec = firmware_by_name("OpenWRT-mt7629").unwrap();
+    assert_eq!(LATENT_BUGS[18].location, "net/core");
+    assert_eq!(LATENT_BUGS[19].location, "drivers/dma/mediatek");
+    let config = ParallelConfig {
+        workers: 2,
+        campaign: CampaignConfig { seed: 0xDAC2024, ..CampaignConfig::default() },
+        ..ParallelConfig::default()
+    };
+    let (result, _) = run_parallel_campaign(spec, &config).unwrap();
+    let found: Vec<usize> = result.found.iter().map(|f| f.latent_index).collect();
+    assert!(found.contains(&18) && found.contains(&19), "found rows {found:?}");
 }

@@ -313,11 +313,10 @@ proptest! {
 }
 
 proptest! {
-    /// The parallel engine ships coverage as sparse classified exports and
-    /// merges them at epoch barriers; that path must be exactly equivalent
-    /// to the sequential fuzzer's dense `merge_novel` — same novelty count,
-    /// same resulting global map — or parallel corpus admission would
-    /// diverge from the 1-worker run.
+    /// Every driver admits coverage as sparse classified exports; that path
+    /// must be exactly equivalent to a dense `merge_novel` of the live map
+    /// — same novelty count, same resulting global map — or admission
+    /// would depend on the order a map's buckets were touched in.
     #[test]
     fn sparse_classified_merge_matches_dense_merge(
         records in proptest::collection::vec((0u32..(1 << 18), 0usize..8), 0..300)

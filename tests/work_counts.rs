@@ -309,11 +309,11 @@ fn epoch_engine_undirected_counts() {
         false,
         EpochCounts {
             execs: 400,
-            corpus: 94,
-            coverage: 155,
+            corpus: 38,
+            coverage: 128,
             findings: 0,
             epochs: 7,
-            fingerprint: 0x88CC_DCB5_C4DB_FAA3,
+            fingerprint: 0x29D2_458D_F29F_E071,
         },
     );
 }
@@ -328,11 +328,11 @@ fn epoch_engine_directed_counts() {
         true,
         EpochCounts {
             execs: 400,
-            corpus: 94,
-            coverage: 155,
+            corpus: 38,
+            coverage: 128,
             findings: 0,
             epochs: 7,
-            fingerprint: 0x88CC_DCB5_C4DB_FAA3,
+            fingerprint: 0x29D2_458D_F29F_E071,
         },
     );
 }
@@ -358,11 +358,11 @@ fn epoch_engine_wide_gate_counts() {
             epoch_counts(&outcome),
             EpochCounts {
                 execs: 3_000,
-                corpus: 222,
-                coverage: 351,
+                corpus: 88,
+                coverage: 209,
                 findings: 1,
                 epochs: 47,
-                fingerprint: 0xEF9E_3558_F45D_6ADC,
+                fingerprint: 0x6B67_18E1_9646_0307,
             },
             "wide gate x{workers}: epoch-engine results moved"
         );
